@@ -4,7 +4,7 @@
 # Tools that only CI installs (ruff, mypy, pytest-cov) are skipped with
 # a notice when absent.  Usage:
 #
-#   scripts/ci_local.sh               # lint + invariants + tests + coverage + faults + elasticity + perf
+#   scripts/ci_local.sh               # lint + invariants + tests + coverage + faults + elasticity + perf + perfbench
 #   scripts/ci_local.sh --bench       # also the nightly bench smoke
 #   scripts/ci_local.sh --bench-full  # also the full (slow) benchmark suite
 set -u
@@ -42,8 +42,8 @@ jobs = doc["jobs"]
 expected = {
     "lint", "lint-invariants", "sanitizer-smoke", "test", "test-no-numpy",
     "coverage", "faults-smoke", "elasticity-smoke", "perf-smoke",
-    "obs-smoke", "obs-overhead", "perf-baseline-refresh", "bench-smoke",
-    "bench-full",
+    "perfbench-smoke", "obs-smoke", "obs-overhead", "perf-baseline-refresh",
+    "bench-smoke", "bench-full",
 }
 assert expected <= set(jobs), jobs.keys()
 sseeds = jobs["sanitizer-smoke"]["strategy"]["matrix"]["sanitizer-seed"]
@@ -123,6 +123,10 @@ step "perf-smoke: harness vs committed baseline" \
     --out BENCH_perf.json \
     --profile BENCH_perf_profile.json \
     --baseline benchmarks/baselines/perf_baseline.json
+
+# -- perfbench-smoke job ---------------------------------------------------
+step "perfbench-smoke: system benchmark test suite" \
+    python3 -m pytest perfbench -q
 
 # -- obs-smoke job ----------------------------------------------------------
 step "obs-smoke: traced workload + integrity checks" \

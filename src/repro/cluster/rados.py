@@ -45,6 +45,9 @@ _EC_IDX_XATTR = "_ec.index"
 #: Per-shard content checksum (Ceph stores the analogous hinfo_key):
 #: without it, a single corrupt shard in a k+1 profile cannot be located.
 _EC_CRC_XATTR = "_ec.crc"
+#: Transaction ops that leave EC stripe data untouched: each shard
+#: carries a full copy of the object's xattrs and omap.
+_EC_SHARD_LOCAL_OPS = frozenset({"setxattr", "rmxattr", "omap_set", "omap_rm"})
 
 
 def _shard_crc(shard: bytes) -> bytes:
@@ -280,107 +283,51 @@ class RadosCluster:
     ):
         """Process: apply ``txn`` atomically on every replica of ``oid``.
 
-        This is the self-contained-object workhorse: chunk-map updates,
-        reference counts, dirty flags, and data all travel in one
-        transaction, so replication and recovery cover dedup metadata
-        with no extra machinery (paper §4.1).
-
-        Replication is all-or-nothing: every replica first *prepares*
-        (transfers, charges device time, runs fault hooks — anything
-        that can fail), and only when all prepares succeed does the
-        transaction *commit* on each replica, instantly.  A transient
-        error or crash during prepare thus leaves no replica mutated,
-        so a caller's retry can never diverge the copies.  A replica
-        that dies between its prepare and the commit point is simply
-        skipped — it rejoins stale and recovery reconciles it, exactly
-        as for a crash before the write.
-
-        On an erasure-coded pool any mutation is a full-stripe
-        read-modify-write (decode, apply, re-encode, rewrite all
-        shards) — the cost that makes EC random writes so slow in the
-        paper's Figure 12.
+        A one-item :meth:`submit_batch`.  This is the self-contained-object
+        workhorse: chunk-map updates, reference counts, dirty flags, and
+        data all travel in one transaction, so replication and recovery
+        cover dedup metadata with no extra machinery (paper §4.1).
         """
-        with span.child(
-            "rados.submit", pool=pool.name, pg=pool.pg_of(oid), ops=len(txn)
-        ) as s:
-            if pool.is_ec:
-                yield from self._ec_submit(pool, oid, txn, client)
-                return
-            client = client or self._default_client
-            remap = self._remap_for(pool, pool.pg_of(oid))
-            if remap is not None:
-                yield from self._submit_remapped(pool, oid, txn, client, s)
-                return
-            acting = self._acting_osds(pool, oid)
-            up = self._up_subset(acting)
-            if len(up) < pool.redundancy.min_size:
-                raise NotEnoughReplicas(
-                    f"{len(up)}/{len(acting)} replicas up; need {pool.redundancy.min_size}"
-                )
-            primary = up[0]
-            payload = txn.io_bytes
-            s.tag(osd=primary.osd_id, replicas=len(up), nbytes=payload)
-            yield from self._transfer(client.nic, primary.node.nic, payload)
-            lock = self._write_lock(self.object_key(pool, oid))
-            yield lock.acquire()
-            try:
-                jobs = []
-                for osd in up:
-                    jobs.append(
-                        self.sim.process(self._replica_prepare(primary, osd, txn, payload))
-                    )
-                yield self.sim.all_of(jobs)
-                # Commit point: all replicas prepared, none mutated yet.
-                # Applying is instantaneous, so no fault can interleave and
-                # split the copies.  An OSD that crashed after its prepare
-                # completed is skipped (it will rejoin stale and be
-                # reconciled by recovery), but losing quorum aborts.
-                survivors = [osd for osd in up if osd.up]
-                if len(survivors) < pool.redundancy.min_size:
-                    raise NotEnoughReplicas(
-                        f"{len(survivors)}/{len(acting)} replicas survived prepare; "
-                        f"need {pool.redundancy.min_size}"
-                    )
-                for osd in survivors:
-                    osd.commit_transaction(txn)
-            finally:
-                lock.release()
-            yield from self._rpc_latency()  # ack to client
+        yield from self.submit_batch(pool, [(oid, txn)], client, span=span)
 
     def submit_batch(
         self, pool: Pool, items, client: Optional[Client] = None, span=NULL_SPAN
     ):
-        """Process: apply many ``(oid, txn)`` pairs with one prepared
-        round per placement group.
+        """Process: apply ``(oid, txn)`` pairs with one prepared round
+        per placement group.
 
-        The multi-op companion of :meth:`submit`: items are grouped by
-        PG, each group's transactions are merged into a single
-        transaction, and the same prepare/commit protocol runs once per
-        group instead of once per item — collapsing N refcount-sized
-        round trips into one prepared transaction per PG.
+        Items are grouped by PG and each group's transactions merge into
+        one, so N refcount-sized round trips collapse into one prepared
+        transaction per PG; a single item is simply a batch of one (its
+        span keeps the name ``rados.submit``).
 
-        The two-phase guarantee extends across the *whole batch*: every
-        replica of every group prepares before any group commits, so a
-        transient fault anywhere during prepare leaves no object on any
-        OSD mutated and the caller can retry the batch as a unit.  (As
-        in :meth:`submit`, an OSD that dies after its prepare is
-        skipped at commit as long as each group keeps quorum.)
+        Replication is all-or-nothing across the *whole batch*: every
+        replica of every group first *prepares* (transfers, charges
+        device time, runs fault hooks — anything that can fail), and
+        only when all prepares succeed does each group *commit* on each
+        replica, instantly.  A transient error or crash during prepare
+        thus leaves no object on any OSD mutated, so the caller can
+        retry the batch as a unit.  A replica that dies between its
+        prepare and the commit point is simply skipped as long as its
+        group keeps quorum — it rejoins stale and recovery reconciles
+        it, exactly as for a crash before the write.
 
-        On an erasure-coded pool each mutation is an independent
-        full-stripe read-modify-write, so nothing merges; items are
-        applied sequentially and a mid-batch fault leaves a committed
-        prefix — callers that need batch atomicity on EC must undo
-        (the dedup tier falls back to per-op commits there).
+        On an erasure-coded pool each item is an independent
+        transaction on its stripe (see :meth:`_ec_submit`), so nothing
+        merges and a mid-batch fault leaves a committed prefix — callers
+        that need batch atomicity on EC submit one item at a time.
         """
         items = [(oid, txn) for oid, txn in items if len(txn)]
         if not items:
             return
         if len(items) == 1:
-            yield from self.submit(pool, items[0][0], items[0][1], client, span=span)
-            return
-        with span.child(
-            "rados.submit_batch", pool=pool.name, items=len(items)
-        ) as s:
+            oid, txn = items[0]
+            ctx = span.child(
+                "rados.submit", pool=pool.name, pg=pool.pg_of(oid), ops=len(txn)
+            )
+        else:
+            ctx = span.child("rados.submit_batch", pool=pool.name, items=len(items))
+        with ctx as s:
             if pool.is_ec:
                 for oid, txn in items:
                     yield from self._ec_submit(pool, oid, txn, client)
@@ -398,8 +345,7 @@ class RadosCluster:
                 pg = pool.pg_of(oid)
                 groups.setdefault(pg, []).append(txn)
                 group_oids.setdefault(pg, oid)
-            s.tag(pgs=len(groups))
-            plans = []  # (merged txn, acting count, up OSDs)
+            plans = []  # (txn, up OSDs, acting count), one per PG
             for pg in sorted(groups):
                 acting = self._acting_osds(pool, group_oids[pg])
                 up = self._up_subset(acting)
@@ -408,20 +354,20 @@ class RadosCluster:
                         f"{len(up)}/{len(acting)} replicas up for pg {pg}; "
                         f"need {pool.redundancy.min_size}"
                     )
-                merged = Transaction()
-                for txn in groups[pg]:
-                    merged.ops.extend(txn.ops)
-                plans.append((merged, len(acting), up))
-            # One payload transfer per PG primary, in parallel.
-            xfers = [
-                self.sim.process(
-                    self._transfer(client.nic, up[0].node.nic, merged.io_bytes)
-                )
-                for merged, _n, up in plans
-            ]
-            yield self.sim.all_of(xfers)
-            # Per-object write locks, in deterministic order (a concurrent
-            # submit holds at most one, so sorted acquisition cannot cycle).
+                merged = groups[pg][0]
+                if len(groups[pg]) > 1:
+                    merged = Transaction()
+                    for txn in groups[pg]:
+                        merged.ops.extend(txn.ops)
+                plans.append((merged, up, len(acting)))
+            if len(plans) == 1:
+                merged, up, _n = plans[0]
+                s.tag(osd=up[0].osd_id, replicas=len(up), nbytes=merged.io_bytes)
+            else:
+                s.tag(pgs=len(plans))
+            yield from self._send_payloads(client, plans)
+            # Per-object write locks, in deterministic order, so two
+            # concurrent batches cannot cycle.
             locks = [
                 self._write_lock(key)
                 for key in sorted({self.object_key(pool, oid) for oid, _ in items})
@@ -431,34 +377,57 @@ class RadosCluster:
                 for lock in locks:
                     yield lock.acquire()
                     acquired.append(lock)
-                jobs = []
-                for merged, _n, up in plans:
-                    primary = up[0]
-                    for osd in up:
-                        jobs.append(
-                            self.sim.process(
-                                self._replica_prepare(primary, osd, merged, merged.io_bytes)
-                            )
-                        )
-                yield self.sim.all_of(jobs)
-                # Commit point for the whole batch: every group must still
-                # have quorum before *any* group applies, so a lost PG
-                # aborts the batch with nothing mutated.
-                for merged, acting_count, up in plans:
-                    survivors = [osd for osd in up if osd.up]
-                    if len(survivors) < pool.redundancy.min_size:
-                        raise NotEnoughReplicas(
-                            f"{len(survivors)}/{acting_count} replicas survived "
-                            f"prepare; need {pool.redundancy.min_size}"
-                        )
-                for merged, _n, up in plans:
-                    for osd in up:
-                        if osd.up:
-                            osd.commit_transaction(merged)
+                yield from self._prepare_and_commit(pool, plans)
             finally:
                 for lock in reversed(acquired):
                     lock.release()
             yield from self._rpc_latency()  # ack to client
+
+    def _send_payloads(self, client: Client, plans):
+        """Process: move each plan's payload from the client to its
+        primary — inline for a single plan, in parallel otherwise."""
+        if len(plans) == 1:
+            txn, targets, _n = plans[0]
+            yield from self._transfer(client.nic, targets[0].node.nic, txn.io_bytes)
+            return
+        yield self.sim.all_of([
+            self.sim.process(
+                self._transfer(client.nic, targets[0].node.nic, txn.io_bytes)
+            )
+            for txn, targets, _n in plans
+        ])
+
+    def _prepare_and_commit(self, pool: Pool, plans):
+        """Process: the two-phase core of :meth:`submit_batch`.
+
+        Every target of every ``(txn, targets, acting count)`` plan
+        prepares; then every plan must still have quorum before *any*
+        commits, so a lost PG aborts the batch with nothing mutated.
+        """
+        jobs = []
+        for txn, targets, _n in plans:
+            primary = targets[0]
+            for osd in targets:
+                jobs.append(
+                    self.sim.process(
+                        self._replica_prepare(primary, osd, txn, txn.io_bytes)
+                    )
+                )
+        yield self.sim.all_of(jobs)
+        # Commit point: applying is instantaneous, so no fault can
+        # interleave and split the copies.  An OSD that crashed after its
+        # prepare is skipped (recovery reconciles it when it rejoins).
+        for _txn, targets, acting_count in plans:
+            survivors = [osd for osd in targets if osd.up]
+            if len(survivors) < pool.redundancy.min_size:
+                raise NotEnoughReplicas(
+                    f"{len(survivors)}/{acting_count} replicas survived "
+                    f"prepare; need {pool.redundancy.min_size}"
+                )
+        for txn, targets, _n in plans:
+            for osd in targets:
+                if osd.up:
+                    osd.commit_transaction(txn)
 
     def _replica_prepare(self, primary: OSD, replica: OSD, txn: Transaction, payload: int):
         if replica.node is not primary.node:
@@ -488,58 +457,14 @@ class RadosCluster:
         holders = [o for o in up if o.store.exists(key)]
         return holders if holders else up
 
-    def _submit_remapped(
-        self, pool: Pool, oid: str, txn: Transaction, client: Client, s
-    ):
-        """Process: :meth:`submit` for an object whose PG is mid-remap.
-
-        Same two-phase prepare/commit protocol, but the target set is
-        computed *inside* the per-object write lock (the rebalance
-        engine mutates holder sets under that lock), so the transfer to
-        the primary also happens locked.
-        """
-        key = self.object_key(pool, oid)
-        lock = self._write_lock(key)
-        yield lock.acquire()
-        try:
-            targets = self._remap_write_targets(pool, oid)
-            if len(targets) < pool.redundancy.min_size:
-                raise NotEnoughReplicas(
-                    f"{len(targets)} replicas reachable mid-remap for {oid!r}; "
-                    f"need {pool.redundancy.min_size}"
-                )
-            primary = targets[0]
-            payload = txn.io_bytes
-            s.tag(
-                osd=primary.osd_id, replicas=len(targets), nbytes=payload,
-                remapped=True,
-            )
-            yield from self._transfer(client.nic, primary.node.nic, payload)
-            jobs = [
-                self.sim.process(self._replica_prepare(primary, osd, txn, payload))
-                for osd in targets
-            ]
-            yield self.sim.all_of(jobs)
-            survivors = [osd for osd in targets if osd.up]
-            if len(survivors) < pool.redundancy.min_size:
-                raise NotEnoughReplicas(
-                    f"{len(survivors)}/{len(targets)} replicas survived prepare; "
-                    f"need {pool.redundancy.min_size}"
-                )
-            for osd in survivors:
-                osd.commit_transaction(txn)
-        finally:
-            lock.release()
-        yield from self._rpc_latency()  # ack to client
-
     def _submit_batch_remapped(self, pool: Pool, items, client: Client, s):
         """Process: :meth:`submit_batch` when any item's PG is mid-remap.
 
-        Keeps the batch-wide two-phase guarantee (no group commits until
-        every group prepared), but computes per-item target sets under
-        the sorted per-object locks instead of merging per PG — holder
-        sets differ per object mid-remap, so PG-level merging does not
-        apply.
+        Same two-phase protocol, but per-item target sets are computed
+        *inside* the sorted per-object write locks (the rebalance engine
+        mutates holder sets under those locks, so the transfers to the
+        primaries also happen locked), and nothing merges per PG —
+        holder sets differ per object mid-remap.
         """
         s.tag(remapped=True)
         locks = [
@@ -551,7 +476,7 @@ class RadosCluster:
             for lock in locks:
                 yield lock.acquire()
                 acquired.append(lock)
-            plans = []  # (txn, targets)
+            plans = []  # (txn, targets, target count)
             for oid, txn in items:
                 remap = self._remap_for(pool, pool.pg_of(oid))
                 if remap is None:
@@ -563,36 +488,9 @@ class RadosCluster:
                         f"{len(targets)} replicas reachable for {oid!r}; "
                         f"need {pool.redundancy.min_size}"
                     )
-                plans.append((txn, targets))
-            xfers = [
-                self.sim.process(
-                    self._transfer(client.nic, targets[0].node.nic, txn.io_bytes)
-                )
-                for txn, targets in plans
-            ]
-            yield self.sim.all_of(xfers)
-            jobs = []
-            for txn, targets in plans:
-                primary = targets[0]
-                for osd in targets:
-                    jobs.append(
-                        self.sim.process(
-                            self._replica_prepare(primary, osd, txn, txn.io_bytes)
-                        )
-                    )
-            yield self.sim.all_of(jobs)
-            # Batch-wide commit point (see submit_batch).
-            for txn, targets in plans:
-                survivors = [osd for osd in targets if osd.up]
-                if len(survivors) < pool.redundancy.min_size:
-                    raise NotEnoughReplicas(
-                        f"{len(survivors)}/{len(targets)} replicas survived "
-                        f"prepare; need {pool.redundancy.min_size}"
-                    )
-            for txn, targets in plans:
-                for osd in targets:
-                    if osd.up:
-                        osd.commit_transaction(txn)
+                plans.append((txn, targets, len(targets)))
+            yield from self._send_payloads(client, plans)
+            yield from self._prepare_and_commit(pool, plans)
         finally:
             for lock in reversed(acquired):
                 lock.release()
@@ -621,9 +519,6 @@ class RadosCluster:
         exactly the penalty the paper measures for EC random writes
         (§6.4.1).
         """
-        if pool.is_ec:
-            yield from self._ec_partial_write(pool, oid, offset, data, client)
-            return
         key = self.object_key(pool, oid)
         txn = Transaction().write(key, offset, data)
         yield from self.submit(pool, oid, txn, client)
@@ -631,18 +526,7 @@ class RadosCluster:
     def remove(self, pool: Pool, oid: str, client: Optional[Client] = None):
         """Process: delete the object from every replica/shard."""
         key = self.object_key(pool, oid)
-        if pool.is_ec:
-            acting = self._up_subset(self._acting_osds(pool, oid))
-            jobs = []
-            for osd in acting:
-                if osd.store.exists(key):
-                    txn = Transaction().remove(key)
-                    jobs.append(self.sim.process(osd.execute_transaction(txn)))
-            if jobs:
-                yield self.sim.all_of(jobs)
-            return
-        txn = Transaction().remove(key)
-        yield from self.submit(pool, oid, txn, client)
+        yield from self.submit(pool, oid, Transaction().remove(key), client)
 
     def read(
         self,
@@ -825,18 +709,6 @@ class RadosCluster:
     def setxattr(self, pool: Pool, oid: str, name: str, value: bytes, client=None):
         """Process: set one xattr on all replicas/shards."""
         key = self.object_key(pool, oid)
-        if pool.is_ec:
-            acting = self._up_subset(self._acting_osds(pool, oid))
-            jobs = [
-                self.sim.process(
-                    osd.execute_transaction(Transaction().setxattr(key, name, value))
-                )
-                for osd in acting
-                if osd.store.exists(key)
-            ]
-            if jobs:
-                yield self.sim.all_of(jobs)
-            return
         yield from self.submit(pool, oid, Transaction().setxattr(key, name, value), client)
 
     def omap_get(self, pool: Pool, oid: str, name: str):
@@ -984,11 +856,30 @@ class RadosCluster:
         return (idx, shard)
 
     def _ec_submit(self, pool: Pool, oid: str, txn: Transaction, client: Optional[Client]):
-        """Process: apply a transaction on an EC pool via full-stripe RMW."""
+        """Process: apply a transaction on an EC pool.
+
+        A removal, or a metadata-only transaction (xattr and omap ops)
+        on an existing object, leaves the stripe data untouched: it
+        applies to every shard directly, with no stripe read.  Anything
+        else touches stripe data and is a full-stripe read-modify-write
+        (decode, apply, re-encode, rewrite all shards) — the cost that
+        makes EC random writes so slow in the paper's Figure 12.
+        """
         from .objectstore import ObjectStore, StoredObject
 
-        client = client or self._default_client
         key = self.object_key(pool, oid)
+        kinds = {op[0] for op in txn.ops}
+        if kinds == {"remove"} or (
+            kinds <= _EC_SHARD_LOCAL_OPS and self.exists(pool, oid)
+        ):
+            lock = self._write_lock(key)
+            yield lock.acquire()
+            try:
+                yield from self._ec_apply_to_shards(pool, oid, key, txn)
+            finally:
+                lock.release()
+            return
+        client = client or self._default_client
         yield from self._transfer(client.nic, self._primary(pool, oid).node.nic, txn.io_bytes)
         lock = self._write_lock(key)
         yield lock.acquire()
@@ -1016,7 +907,9 @@ class RadosCluster:
                 )
             scratch.apply(txn)
             if not scratch.exists(key):
-                yield from self._ec_remove_locked(pool, oid, key)
+                yield from self._ec_apply_to_shards(
+                    pool, oid, key, Transaction().remove(key)
+                )
                 return
             obj = scratch.get(key)
             yield from self._ec_write_full_locked(
@@ -1040,15 +933,24 @@ class RadosCluster:
         data = yield from self._ec_read(pool, oid, _NodeAsClient(primary.node))
         return data
 
-    def _ec_remove_locked(self, pool: Pool, oid: str, key: ObjectKey):
-        jobs = []
-        for osd in self._up_subset(self._acting_osds(pool, oid)):
-            if osd.store.exists(key):
-                jobs.append(
-                    self.sim.process(osd.execute_transaction(Transaction().remove(key)))
-                )
-        if jobs:
-            yield self.sim.all_of(jobs)
+    def _ec_apply_to_shards(self, pool: Pool, oid: str, key: ObjectKey, txn: Transaction):
+        """Process: apply ``txn`` to every up shard holding ``key``.
+
+        Every shard prepares before any commits, so a fault during
+        prepare leaves no shard mutated.  Caller holds the write lock.
+        """
+        holders = [
+            osd for osd in self._up_subset(self._acting_osds(pool, oid))
+            if osd.store.exists(key)
+        ]
+        if not holders:
+            return
+        yield self.sim.all_of(
+            [self.sim.process(osd.prepare_transaction(txn)) for osd in holders]
+        )
+        for osd in holders:
+            if osd.up:
+                osd.commit_transaction(txn)
 
     def _purge_parked_ec_copies(self, pool: Pool, oid: str, key: ObjectKey) -> None:
         """Drop shards parked outside the strict acting set (mid-remap).
@@ -1070,12 +972,6 @@ class RadosCluster:
             osd = self.osds.get(osd_id)
             if osd is not None and osd.up and osd.store.exists(key):
                 osd.store.delete_object(key)
-
-    def _ec_partial_write(self, pool: Pool, oid: str, offset: int, data: bytes, client):
-        key = self.object_key(pool, oid)
-        yield from self._ec_submit(
-            pool, oid, Transaction().write(key, offset, data), client
-        )
 
     # -- enumeration & accounting -----------------------------------------------------
 

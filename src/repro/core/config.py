@@ -95,11 +95,12 @@ class DedupConfig:
     refcount_mode: str = "strict"
 
     #: Batch chunk-pool reference updates: a dedup pass accumulates its
-    #: ``chunk_ref``/``chunk_deref`` operations in a ChunkBatch and
-    #: commits them through one prepared transaction per placement
-    #: group instead of one round trip per refcount update.  Only
-    #: effective on replicated chunk pools (EC mutations are per-object
-    #: full-stripe RMWs — nothing merges).
+    #: ref/deref operations in a ChunkBatch and commits them through one
+    #: prepared transaction per placement group instead of one round
+    #: trip per refcount update.  Off, the same commit path runs in
+    #: slices of one op (``DedupTier.ref_commit_limit``), which is also
+    #: what an EC chunk pool always gets — EC batches are not atomic
+    #: across items.
     batch_refs: bool = True
     #: LRU cache of hot chunk-object RefSets in front of ``_load_refs``
     #: (skips the per-lookup deserialization on repeat-duplicate
@@ -133,11 +134,6 @@ class DedupConfig:
     #: sequential scan instead of O(chunks)).  Compressed chunk pools
     #: fall back to per-chunk reads — decompression needs whole chunks.
     coalesce_reads: bool = True
-    #: Commit chunk-map mutations incrementally (v2 format): per-entry
-    #: omap records under ``map.<idx>`` plus a small header xattr, so a
-    #: 1-chunk update serialises one 150-byte entry instead of the whole
-    #: map.  Off: every commit rewrites the legacy whole-map blob.
-    incremental_map_commits: bool = True
     #: Background dedup thread count (paper §3.2: "background
     #: deduplication threads periodically conduct a deduplication job").
     engine_workers: int = 8

@@ -204,12 +204,12 @@ class DedupEngine:
         txn = Transaction()
         taken = []  # (chunk_id, ref) references acquired this pass
         pending_derefs = []  # old chunks to release once the map commits
-        # Batched mode: the pass accumulates its store-or-reference ops
-        # in a ChunkBatch and commits them at the end through one
-        # prepared transaction per placement group, instead of paying a
-        # serialized round trip per chunk.
-        batch = ChunkBatch() if tier.batching_enabled else None
-        planned = []  # (batch op index, fp, ref, nbytes) awaiting commit
+        # The pass accumulates its store-or-reference ops in a ChunkBatch
+        # and commits them at the end — one prepared transaction per
+        # placement group per slice — instead of paying a serialized
+        # round trip per chunk.
+        batch = ChunkBatch()
+        planned = []  # (fp, ref, nbytes) per batch op, awaiting commit
         changed = False
         pool = self.fingerprint_pool
         # Stage 1 of the flush pipeline assembles each dirty chunk's
@@ -279,20 +279,8 @@ class DedupEngine:
                     # ranges if this pass aborts on a foreground race.
                     pending_derefs.append((entry.chunk_id, ref))
                 if entry.chunk_id != fp:
-                    if batch is not None:
-                        planned.append((len(batch.ops), fp, ref, len(data)))
-                        batch.ref(fp, ref, data)
-                    else:
-                        stored = yield from tier.chunk_ref(
-                            fp, ref, data, via, span=span
-                        )
-                        taken.append((fp, ref))
-                        if stored:
-                            self.stats.chunks_flushed += 1
-                            self.stats.bytes_flushed += len(data)
-                        else:
-                            self.stats.chunks_deduped += 1
-                            self.stats.bytes_deduped += len(data)
+                    planned.append((fp, ref, len(data)))
+                    batch.ref(fp, ref, data)
                 entry.chunk_id = fp
                 entry.dirty = False
                 cmap.mark_touched(idx)
@@ -312,7 +300,7 @@ class DedupEngine:
                 # Paper Figure 8, "object 2": when no chunk remains cached,
                 # the metadata object holds no data at all — only metadata.
                 txn.truncate(key, 0)
-            if batch is not None and batch:
+            if batch:
                 if tier.seq(oid) != seq_at_start:
                     # Raced before the batch committed: nothing in the
                     # chunk pool was touched, so there is nothing to undo.
@@ -323,21 +311,22 @@ class DedupEngine:
                     self.stats.objects_aborted_race += 1
                     tier.mark_dirty(oid)
                     return "raced"
-                outcomes = yield from tier.commit_chunk_batch(batch, via, span=span)
-                for op_i, fp, ref, nbytes in planned:
-                    taken.append((fp, ref))
-                    if outcomes[op_i]:
-                        self.stats.chunks_flushed += 1
-                        self.stats.bytes_flushed += nbytes
-                    else:
-                        self.stats.chunks_deduped += 1
-                        self.stats.bytes_deduped += nbytes
+                for start, part in batch.slices(tier.ref_commit_limit):
+                    outcomes = yield from tier.commit_chunk_batch(part, via, span=span)
+                    for (fp, ref, nbytes), stored in zip(planned[start:], outcomes):
+                        taken.append((fp, ref))
+                        if stored:
+                            self.stats.chunks_flushed += 1
+                            self.stats.bytes_flushed += nbytes
+                        else:
+                            self.stats.chunks_deduped += 1
+                            self.stats.bytes_deduped += nbytes
             if tier.seq(oid) != seq_at_start:
                 # A foreground write landed mid-pass: our map view is stale.
                 # Undo the references we took and retry later; dirty bits in
                 # the (authoritative) stored map still cover the new data.
                 tier.invalidate_map_cache(oid)
-                yield from self._undo_refs(taken, via, span=span)
+                yield from self._release_refs(taken, via, span=span)
                 self.stats.objects_aborted_race += 1
                 tier.mark_dirty(oid)
                 return "raced"
@@ -362,7 +351,7 @@ class DedupEngine:
             self._abandon_staged(handles)
             if not is_retryable(exc):
                 raise
-            yield from self._undo_refs(taken, via, span=span)
+            yield from self._release_refs(taken, via, span=span)
             self.stats.objects_requeued_fault += 1
             tier.requeue_dirty(oid, delay=self.config.fault_requeue_delay)
             return "faulted"
@@ -401,56 +390,36 @@ class DedupEngine:
     def _apply_derefs(self, pairs, via, span=NULL_SPAN):
         """Process: release old-chunk references after the map commits.
 
-        Under strict refcounting with batching enabled, the whole set is
-        dropped in one batched commit (a fault leaves every reference
-        over-retained — never dangling — for the GC).  Otherwise each
-        dereference goes through the configured refcount strategy
-        individually (``false_positive`` just queues them in memory).
+        Under strict refcounting the set is dropped now
+        (:meth:`_release_refs`); ``false_positive`` just queues the
+        dereferences in memory.
         """
-        tier = self.tier
         with span.child("engine.derefs", count=len(pairs)) as s:
-            if (
-                tier.batching_enabled
-                and len(pairs) > 1
-                and self.refcount.name == "strict"
-            ):
-                batch = ChunkBatch()
+            if self.refcount.name != "strict":
                 for chunk_id, ref in pairs:
-                    batch.deref(chunk_id, ref)
-                try:
-                    yield from tier.commit_chunk_batch(batch, via, span=s)
-                except Exception as exc:
-                    if not is_retryable(exc):
-                        raise
-                    # Batch prepare is all-or-nothing: nothing was dropped,
-                    # every reference stays over-retained for the GC.
-                    self.stats.derefs_deferred_fault += len(pairs)
-                return
-            for chunk_id, ref in pairs:
-                try:
                     yield from self.refcount.deref(chunk_id, ref, via)
-                except Exception as exc:
-                    if not is_retryable(exc):
-                        raise
-                    # The map already committed, so the old reference is
-                    # merely over-retained — never dangling.  Offline GC
-                    # reclaims it.
-                    self.stats.derefs_deferred_fault += 1
+                return
+            yield from self._release_refs(pairs, via, s)
 
-    def _undo_refs(self, taken, via, span=NULL_SPAN):
-        """Process: best-effort release of references taken this pass.
+    def _release_refs(self, pairs, via, span=NULL_SPAN):
+        """Process: dereference ``(chunk_id, ref)`` pairs slice by slice.
 
-        A dereference that itself faults leaves an *over*-retained
-        reference (safe: the offline GC reclaims it); the refcount
+        Used for the old chunks of a committed pass and to undo the
+        references an aborted pass took.  A slice whose commit faults
+        leaves its references *over*-retained (safe: the offline GC
+        reclaims them) and later slices still commit; the refcount
         invariant "never dangling" holds either way.
         """
-        for fp, ref in taken:
+        batch = ChunkBatch()
+        for chunk_id, ref in pairs:
+            batch.deref(chunk_id, ref)
+        for _start, part in batch.slices(self.tier.ref_commit_limit):
             try:
-                yield from self.tier.chunk_deref(fp, ref, via, span=span)
+                yield from self.tier.commit_chunk_batch(part, via, span=span)
             except Exception as exc:
                 if not is_retryable(exc):
                     raise
-                self.stats.derefs_deferred_fault += 1
+                self.stats.derefs_deferred_fault += len(part)
 
     # -- cache maintenance -----------------------------------------------------------
 

@@ -36,8 +36,6 @@ __all__ = [
     "REFS_XATTR",
     "MAP_OMAP_PREFIX",
     "map_entry_key",
-    "is_v2_map_header",
-    "decode_stored_map",
     "ChunkMapEntry",
     "ChunkMap",
     "ChunkRef",
@@ -54,8 +52,6 @@ REFERENCE_ENTRY_BYTES = 64
 CHUNK_MAP_XATTR = "dedup.chunk_map"
 REFS_XATTR = "dedup.refs"
 
-_MAP_MAGIC = b"CMAP"
-_MAP_HEADER = struct.Struct(">4sII")  # magic, chunk_size, entry count
 _MAP_MAGIC_V2 = b"CMP2"
 _MAP_HEADER_V2 = struct.Struct(">4sIIQ")  # magic, chunk_size, count, version
 _ENTRY_FIXED = struct.Struct(">QIBB")  # offset, length, flags, id length
@@ -63,9 +59,9 @@ _FLAG_CACHED = 1
 _FLAG_DIRTY = 2
 _RANGE = struct.Struct(">II")
 
-#: Omap key prefix for incremental (v2) chunk-map entries.  Each entry
-#: lives under ``map.<idx>`` so a 1-chunk commit rewrites one 150-byte
-#: record instead of the whole map blob.
+#: Omap key prefix for chunk-map entries.  The map's header lives in the
+#: ``dedup.chunk_map`` xattr and each entry under ``map.<idx>``, so a
+#: 1-chunk commit rewrites one 150-byte record instead of the whole map.
 MAP_OMAP_PREFIX = "map."
 
 
@@ -76,10 +72,6 @@ def map_entry_key(index: int) -> str:
     """
     return f"{MAP_OMAP_PREFIX}{index:010d}"
 
-
-def is_v2_map_header(blob: bytes) -> bool:
-    """Whether ``blob`` is an incremental-format (v2) map header."""
-    return blob[:4] == _MAP_MAGIC_V2
 
 #: Maximum cached valid ranges an entry can track before the write path
 #: falls back to a foreground pre-read that coalesces them.
@@ -284,10 +276,6 @@ class ChunkMap:
         #: Indices mutated since the last commit; drives the incremental
         #: (v2) writer, which serialises only these entries.
         self._touched: Set[int] = set()
-        #: Whether this map was decoded from an incremental (v2) store.
-        #: A v1-decoded map must be committed as a full upgrade (all
-        #: entries) the first time it is written incrementally.
-        self.stored_v2 = False
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -314,12 +302,11 @@ class ChunkMap:
 
     def copy(self) -> "ChunkMap":
         """Entry-level deep copy: mutating the copy (or any of its
-        entries) never affects the original.  Touched tracking and
-        ``stored_v2`` carry over, so a copy commits identically."""
+        entries) never affects the original.  Touched tracking carries
+        over, so a copy commits identically."""
         dup = ChunkMap(self.chunk_size)
         dup._entries = {i: e.copy() for i, e in self._entries.items()}
         dup._touched = set(self._touched)
-        dup.stored_v2 = self.stored_v2
         return dup
 
     def mark_touched(self, index: int) -> None:
@@ -360,33 +347,13 @@ class ChunkMap:
         return not any(e.dirty for e in self._entries.values())
 
     def serialized_bytes(self) -> int:
-        """Size of the serialised map (150 bytes/entry + header)."""
-        return _MAP_HEADER.size + len(self._entries) * CHUNK_MAP_ENTRY_BYTES
-
-    def serialize(self) -> bytes:
-        """Binary form stored in the metadata object's xattr."""
-        parts = [_MAP_HEADER.pack(_MAP_MAGIC, self.chunk_size, len(self._entries))]
-        for idx in sorted(self._entries):
-            parts.append(self._entries[idx].pack())
-        return b"".join(parts)
-
-    @classmethod
-    def deserialize(cls, blob: bytes) -> "ChunkMap":
-        """Inverse of :meth:`serialize`."""
-        magic, chunk_size, count = _MAP_HEADER.unpack_from(blob)
-        if magic != _MAP_MAGIC:
-            raise ValueError(f"bad chunk map magic {magic!r}")
-        cmap = cls(chunk_size)
-        pos = _MAP_HEADER.size
-        for _ in range(count):
-            entry = ChunkMapEntry.unpack(blob[pos : pos + CHUNK_MAP_ENTRY_BYTES])
-            cmap.set(entry)
-            pos += CHUNK_MAP_ENTRY_BYTES
-        cmap.clear_touched()
-        return cmap
+        """Size of the whole map serialised at once (header + 150
+        bytes/entry): what a commit would cost without touched-entry
+        tracking."""
+        return _MAP_HEADER_V2.size + len(self._entries) * CHUNK_MAP_ENTRY_BYTES
 
     def serialize_header_v2(self, version: int) -> bytes:
-        """Header xattr for the incremental (v2) format.
+        """Header xattr of the stored (v2) format.
 
         Entries live in omap under :func:`map_entry_key`; the xattr
         carries only magic, chunk size, entry count, and the committed
@@ -404,7 +371,7 @@ class ChunkMap:
 
     @classmethod
     def from_stored_v2(cls, header: bytes, omap: Mapping[str, bytes]) -> "ChunkMap":
-        """Decode an incremental-format map from header xattr + omap."""
+        """Decode a stored map from its header xattr + omap records."""
         magic, chunk_size, count, _version = _MAP_HEADER_V2.unpack_from(header)
         if magic != _MAP_MAGIC_V2:
             raise ValueError(f"bad v2 chunk map magic {magic!r}")
@@ -418,20 +385,7 @@ class ChunkMap:
                 f"v2 chunk map header claims {count} entries, omap has {len(cmap)}"
             )
         cmap.clear_touched()
-        cmap.stored_v2 = True
         return cmap
-
-
-def decode_stored_map(header: bytes, omap: Mapping[str, bytes]) -> ChunkMap:
-    """Decode a stored chunk map, dispatching on the header magic.
-
-    Accepts both the legacy whole-blob format (``CMAP``: entries inline
-    in the xattr) and the incremental format (``CMP2``: entries in omap
-    under ``map.<idx>`` keys).
-    """
-    if is_v2_map_header(header):
-        return ChunkMap.from_stored_v2(header, omap)
-    return ChunkMap.deserialize(header)
 
 
 @dataclass(frozen=True, order=True)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
+from ..faults.errors import is_retryable
 from .objects import ChunkRef
 from .tier import ChunkBatch, DedupTier
 
@@ -76,21 +77,25 @@ class FalsePositiveRefcount:
     def gc(self, via):
         """Process: apply all queued dereferences (the GC pass).
 
-        With batching enabled the whole backlog commits through one
-        prepared transaction per placement group instead of one round
-        trip per stale reference.
+        The backlog commits through the tier's sliced batch commits —
+        one prepared transaction per placement group per slice instead
+        of one round trip per stale reference.  A slice that faults goes
+        back on the queue for the next pass (its references stay
+        over-retained meanwhile, never dangling).
         """
         queue, self._queue = self._queue, []
-        if self.tier.batching_enabled and len(queue) > 1:
-            batch = ChunkBatch()
-            for chunk_id, ref in queue:
-                batch.deref(chunk_id, ref)
-            yield from self.tier.commit_chunk_batch(batch, via)
-            self.collected += len(queue)
-            return
+        batch = ChunkBatch()
         for chunk_id, ref in queue:
-            yield from self.tier.chunk_deref(chunk_id, ref, via)
-            self.collected += 1
+            batch.deref(chunk_id, ref)
+        for start, part in batch.slices(self.tier.ref_commit_limit):
+            try:
+                yield from self.tier.commit_chunk_batch(part, via)
+            except Exception as exc:
+                if not is_retryable(exc):
+                    raise
+                self._queue.extend(queue[start : start + len(part)])
+                continue
+            self.collected += len(part)
 
 
 def make_refcounter(tier: DedupTier):

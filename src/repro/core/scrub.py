@@ -19,11 +19,11 @@ read/write, so their cost can be measured too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..fingerprint import fingerprint
-from .objects import ChunkRef, RefSet
-from .tier import DedupTier, NodeClient
+from .objects import ChunkRef
+from .tier import ChunkBatch, DedupTier, NodeClient
 
 __all__ = ["ScrubReport", "scrub", "scrub_sync", "GcReport", "collect_garbage", "collect_garbage_sync"]
 
@@ -118,7 +118,7 @@ class GcReport:
     bytes_reclaimed: int = 0
 
 
-# repro-lint: flt-scope -- offline GC runs post-drain; a faulted remove() is retried by the next pass (refs recomputed each pass)
+# repro-lint: flt-scope -- offline GC runs post-drain; a faulted ref commit is retried by the next pass (refs recomputed each pass)
 def collect_garbage(tier: DedupTier):
     """Process: drop stale references and unreferenced chunk objects.
 
@@ -133,31 +133,23 @@ def collect_garbage(tier: DedupTier):
     node = next(iter(cluster.nodes.values()))
     via = NodeClient(node)
     for chunk_id in cluster.list_objects(tier.chunk_pool):
-        lock = tier.chunk_lock(chunk_id)
-        yield lock.acquire()
-        try:
-            if not cluster.exists(tier.chunk_pool, chunk_id):
-                continue
-            implied = live.get(chunk_id, set())
-            stored = set(tier._load_refs(chunk_id))
-            stale = stored - implied
-            if not stale:
-                continue
-            keep = stored & implied
-            report.references_dropped += len(stale)
-            if keep:
-                yield from tier._store_refs(chunk_id, RefSet(sorted(keep)), via)
-            else:
-                length = yield from cluster.stat(tier.chunk_pool, chunk_id)
-                try:
-                    yield from cluster.remove(tier.chunk_pool, chunk_id, via)
-                finally:
-                    # The tier's RefSet cache must not outlive the object.
-                    tier.invalidate_chunk_state(chunk_id)
-                report.chunks_removed += 1
-                report.bytes_reclaimed += length
-        finally:
-            lock.release()
+        if not cluster.exists(tier.chunk_pool, chunk_id):
+            continue
+        stored = set(tier._load_refs(chunk_id))
+        stale = stored - live.get(chunk_id, set())
+        if not stale:
+            continue
+        report.references_dropped += len(stale)
+        batch = ChunkBatch()
+        for ref in sorted(stale):
+            batch.deref(chunk_id, ref)
+        length: Optional[int] = None
+        if stale == stored:
+            length = yield from cluster.stat(tier.chunk_pool, chunk_id)
+        yield from tier.commit_chunk_batch(batch, via)
+        if length is not None and not cluster.exists(tier.chunk_pool, chunk_id):
+            report.chunks_removed += 1
+            report.bytes_reclaimed += length
     # GC rewrites reference state the maps imply; a decoded map cached
     # across the collection could disagree with what GC just decided
     # was live.  Defensive full drop — GC is rare and offline.

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Deque, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..chunking import StaticChunker
 from ..compression import ZlibCodec
@@ -43,9 +43,6 @@ from .objects import (
     ChunkMap,
     ChunkRef,
     RefSet,
-    decode_stored_map,
-    is_v2_map_header,
-    map_entry_key,
 )
 from .rate_control import OpWindow, RateController
 from .read_cache import ChunkDataCache
@@ -80,9 +77,12 @@ class ChunkBatch:
 
     Instead of paying one serialized round trip per refcount update, the
     engine records every ``ref``/``deref`` of a pass here and commits
-    them all at once through :meth:`DedupTier.commit_chunk_batch`, which
-    collapses the work into one prepared transaction per placement
-    group (see :meth:`~repro.cluster.RadosCluster.submit_batch`).
+    them through :meth:`DedupTier.commit_chunk_batch`, which collapses
+    the work into one prepared transaction per placement group (see
+    :meth:`~repro.cluster.RadosCluster.submit_batch`).  Every chunk-pool
+    reference commit goes through a batch: a single op is a batch of
+    one, and :attr:`DedupTier.ref_commit_limit` caps how many ops one
+    commit may carry.
     """
 
     def __init__(self):
@@ -90,21 +90,28 @@ class ChunkBatch:
         #: ``("deref", chunk_id, ref)``.
         self.ops: List[Tuple] = []
 
-    def ref(self, chunk_id: str, ref: ChunkRef, data) -> None:
+    def ref(self, chunk_id: str, ref: ChunkRef, data) -> "ChunkBatch":
         """Record a store-or-reference of ``chunk_id`` by ``ref``.
 
         ``data`` is the chunk payload, used only if the commit finds no
         object at the content-derived location (first reference).
         """
         self.ops.append(("ref", chunk_id, ref, data))
+        return self
 
-    def deref(self, chunk_id: str, ref: ChunkRef) -> None:
+    def deref(self, chunk_id: str, ref: ChunkRef) -> "ChunkBatch":
         """Record dropping ``ref``'s reference to ``chunk_id``."""
         self.ops.append(("deref", chunk_id, ref))
+        return self
 
-    def chunk_ids(self) -> List[str]:
-        """Distinct chunk object IDs this batch touches (sorted)."""
-        return sorted({op[1] for op in self.ops})
+    def slices(self, limit: Optional[int]) -> Iterator[Tuple[int, "ChunkBatch"]]:
+        """Consecutive sub-batches of at most ``limit`` ops (one slice
+        when ``None``), each with the index of its first op."""
+        step = limit or len(self.ops) or 1
+        for start in range(0, len(self.ops), step):
+            part = ChunkBatch()
+            part.ops = self.ops[start : start + step]
+            yield start, part
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -386,7 +393,7 @@ class DedupTier:
             if osd.up and osd.store.exists(key):
                 obj = osd.store.get(key)
                 blob = obj.xattrs.get(CHUNK_MAP_XATTR)
-                return decode_stored_map(blob, obj.omap) if blob else None
+                return ChunkMap.from_stored_v2(blob, obj.omap) if blob else None
         return None
 
     # -- decoded-map cache ----------------------------------------------------
@@ -414,7 +421,6 @@ class DedupTier:
         """
         version = self.map_version(oid) + 1
         self._map_versions[oid] = version
-        cmap.stored_v2 = self.config.incremental_map_commits
         cmap.clear_touched()
         # Cache a private snapshot: the caller keeps ownership of
         # ``cmap`` and may keep mutating it without polluting the
@@ -494,21 +500,16 @@ class DedupTier:
             # omap records under us — decoding a mix of old header and
             # new records raises (v2 entry-count check) or yields a
             # torn map.
-            nbytes = len(blob)
-            omap_records: Dict[str, bytes] = {}
-            if is_v2_map_header(blob):
-                omap_records = {
-                    k: v
-                    for k, v in obj.omap.items()
-                    if k.startswith(MAP_OMAP_PREFIX)
-                }
-                nbytes += sum(len(v) for v in omap_records.values())
+            omap_records = {
+                k: v for k, v in obj.omap.items() if k.startswith(MAP_OMAP_PREFIX)
+            }
+            nbytes = len(blob) + sum(len(v) for v in omap_records.values())
             version = self.map_version(oid)
             epoch = self._map_epoch
             yield from primary.disk.read(nbytes)
             self.stage.map_cache_misses += 1
             s.tag(found=True, nbytes=nbytes, map_cache="miss")
-            cmap = decode_stored_map(blob, omap_records)
+            cmap = ChunkMap.from_stored_v2(blob, omap_records)
             # Install only when nothing committed or invalidated during
             # the yield — a stale decode must not overwrite the fresh
             # entry a concurrent commit just installed, nor re-enter
@@ -521,12 +522,9 @@ class DedupTier:
     def append_map_commit(self, txn: Transaction, oid: str, cmap: ChunkMap) -> None:
         """Add ``cmap``'s commit ops for ``oid`` to ``txn``.
 
-        Incremental mode (v2): writes the small header xattr plus one
-        omap record per *touched* entry — a 1-chunk update serialises
-        one 150-byte record instead of the whole map.  A map decoded
-        from the legacy blob is upgraded by writing every entry once.
-        Whole-map mode (v1): rewrites the full blob (and clears any v2
-        omap records left by an earlier incremental era).
+        Writes the small header xattr plus one omap record per *touched*
+        entry — a 1-chunk update serialises one 150-byte record instead
+        of the whole map.
 
         The caller owns the commit outcome: on success call
         :meth:`note_map_committed`; on a fault that may have mutated the
@@ -535,28 +533,17 @@ class DedupTier:
         only cleared by ``note_map_committed``.
         """
         key = self.metadata_key(oid)
-        total = len(cmap)
-        if self.config.incremental_map_commits:
-            header = cmap.serialize_header_v2(self.map_version(oid) + 1)
-            indices = cmap.touched_indices() if cmap.stored_v2 else cmap.indices()
-            entries = cmap.omap_entries(indices)
-            txn.setxattr(key, CHUNK_MAP_XATTR, header)
-            if entries:
-                txn.omap_set(key, entries)
-            self.stage.map_commits_incremental += 1
-            self.stage.map_entries_serialized += len(entries)
-            self.stage.map_bytes_serialized += len(header) + sum(
-                len(v) for v in entries.values()
-            )
-        else:
-            blob = cmap.serialize()
-            txn.setxattr(key, CHUNK_MAP_XATTR, blob)
-            if cmap.stored_v2:
-                txn.omap_rm(key, [map_entry_key(i) for i in cmap.indices()])
-            self.stage.map_commits_full += 1
-            self.stage.map_entries_serialized += total
-            self.stage.map_bytes_serialized += len(blob)
-        self.stage.map_entries_total += total
+        header = cmap.serialize_header_v2(self.map_version(oid) + 1)
+        entries = cmap.omap_entries(cmap.touched_indices())
+        txn.setxattr(key, CHUNK_MAP_XATTR, header)
+        if entries:
+            txn.omap_set(key, entries)
+        self.stage.map_commits_incremental += 1
+        self.stage.map_entries_serialized += len(entries)
+        self.stage.map_bytes_serialized += len(header) + sum(
+            len(v) for v in entries.values()
+        )
+        self.stage.map_entries_total += len(cmap)
 
     def read_local_chunk(self, oid: str, offset: int, length: int):
         """Process: read cached chunk bytes at the metadata primary.
@@ -599,7 +586,7 @@ class DedupTier:
         A RefSet-cache hit or a Bloom-filter miss answers without
         touching the chunk pool at all; only a "maybe stored" falls
         through to the real existence probe.  Sound because every chunk
-        store goes through this tier (``chunk_ref`` or a batch commit),
+        store goes through this tier (:meth:`commit_chunk_batch`),
         which inserts the ID into the filter — so a filter miss really
         means "never stored".
         """
@@ -675,148 +662,59 @@ class DedupTier:
         return RefSet()
 
     # repro-lint: flt-scope -- commit primitive: faults must propagate to the caller's scope (engine skip-and-requeue / io_path retries), which owns the undo policy
-    def _store_refs(self, chunk_id: str, refs: RefSet, via, span=NULL_SPAN):
-        blob = refs.serialize()
-        try:
-            if self.chunk_pool.is_ec:
-                yield from self.cluster.setxattr(
-                    self.chunk_pool, chunk_id, REFS_XATTR, blob, via
-                )
-            else:
-                key = self.cluster.object_key(self.chunk_pool, chunk_id)
-                txn = Transaction().setxattr(key, REFS_XATTR, blob)
-                yield from self.cluster.submit(
-                    self.chunk_pool, chunk_id, txn, via, span=span
-                )
-        except Exception:
-            # The commit may or may not have landed; never serve the
-            # in-memory state as truth.
-            self.invalidate_chunk_state(chunk_id)
-            raise
-        self._cache_refs(chunk_id, refs)
-
-    # repro-lint: flt-scope -- commit primitive: faults must propagate to the caller's scope (engine skip-and-requeue / io_path retries), which owns the undo policy
     def chunk_ref(self, chunk_id: str, ref: ChunkRef, data: bytes, via, span=NULL_SPAN):
-        """Process: store-or-reference a chunk object (§4.4.1 steps 4-5).
-
-        If no object exists at the content-derived location, store the
-        chunk with this first reference; otherwise only append reference
-        information — the write of the duplicate data never happens,
-        which *is* the deduplication.
-
-        With ``compress_chunks`` on, the payload is compressed before it
-        is stored (the chunk's *ID* is always the fingerprint of the
-        uncompressed content, so dedup detection is unaffected).
-
-        Returns True when the chunk data was newly stored.
-        """
-        with span.child("tier.chunk_ref", chunk=chunk_id) as s:
-            lock = self.chunk_lock(chunk_id)
-            yield lock.acquire()
-            try:
-                self.stage.ref_ops += 1
-                exists = self.chunk_exists(chunk_id)
-                refs = self._load_refs(chunk_id) if exists else RefSet()
-                refs.add(ref)
-                s.tag(dedup_hit=exists)
-                if not exists:
-                    blob, encoding = data, b"raw"
-                    if self.config.compress_chunks:
-                        node = getattr(via, "node", None)
-                        if node is not None:
-                            yield from node.cpu.execute(
-                                node.cpu.spec.compress_time(len(data))
-                            )
-                        coded = self.codec.compress(data)
-                        if len(coded) < len(data):
-                            blob, encoding = coded, b"zlib"
-                    yield from self.cluster.write_full(
-                        self.chunk_pool, chunk_id, blob, via, span=s
-                    )
-                    self._note_chunk_stored(chunk_id)
-                    self.stage.flush_ops += 1
-                    self.stage.flush_bytes += len(blob)
-                    if self.config.compress_chunks:
-                        if self.chunk_pool.is_ec:
-                            yield from self.cluster.setxattr(
-                                self.chunk_pool, chunk_id, CHUNK_ENCODING_XATTR,
-                                encoding, via,
-                            )
-                        else:
-                            yield from self._set_encoding(chunk_id, encoding, via, s)
-                    yield from self._store_refs(chunk_id, refs, via, span=s)
-                    self.stage.ref_commits += 1
-                    return True
-                yield from self._store_refs(chunk_id, refs, via, span=s)
-                self.stage.ref_commits += 1
-                return False
-            finally:
-                lock.release()
-
-    # repro-lint: flt-scope -- commit primitive: runs only inside chunk_ref, whose callers own the fault scope
-    def _set_encoding(self, chunk_id: str, encoding: bytes, via, span=NULL_SPAN):
-        key = self.cluster.object_key(self.chunk_pool, chunk_id)
-        txn = Transaction().setxattr(key, CHUNK_ENCODING_XATTR, encoding)
-        yield from self.cluster.submit(self.chunk_pool, chunk_id, txn, via, span=span)
+        """Process: store-or-reference one chunk object (§4.4.1 steps
+        4-5) — a one-op :meth:`commit_chunk_batch`.  Returns True when
+        the chunk data was newly stored."""
+        outcomes = yield from self.commit_chunk_batch(
+            ChunkBatch().ref(chunk_id, ref, data), via, span=span
+        )
+        return outcomes[0]
 
     # repro-lint: flt-scope -- commit primitive: idempotent (§4.6); faults propagate to the caller's scope, which defers the deref to GC
     def chunk_deref(self, chunk_id: str, ref: ChunkRef, via, span=NULL_SPAN):
-        """Process: drop one reference; remove the chunk at zero refs.
-
-        Dereferencing a missing chunk or reference is a no-op (a crashed
-        dedup pass may retry a dereference that already happened — the
-        paper's §4.6 failure analysis relies on this idempotence).
-        """
-        with span.child("tier.chunk_deref", chunk=chunk_id) as s:
-            lock = self.chunk_lock(chunk_id)
-            yield lock.acquire()
-            try:
-                self.stage.ref_ops += 1
-                if not self.chunk_exists(chunk_id):
-                    return
-                refs = self._load_refs(chunk_id)
-                if ref not in refs:
-                    return
-                refs.discard(ref)
-                if len(refs) == 0:
-                    s.tag(removed=True)
-                    try:
-                        yield from self.cluster.remove(self.chunk_pool, chunk_id, via)
-                    finally:
-                        # Whether the removal landed or faulted mid-way, the
-                        # cached (already mutated) RefSet is no longer truth.
-                        self.invalidate_chunk_state(chunk_id)
-                else:
-                    yield from self._store_refs(chunk_id, refs, via, span=s)
-                self.stage.ref_commits += 1
-            finally:
-                lock.release()
-
-    # -- batched reference commits --------------------------------------------
+        """Process: drop one reference, removing the chunk at zero refs —
+        a one-op :meth:`commit_chunk_batch`."""
+        yield from self.commit_chunk_batch(
+            ChunkBatch().deref(chunk_id, ref), via, span=span
+        )
 
     @property
-    def batching_enabled(self) -> bool:
-        """Whether dedup passes should batch their ref/deref commits.
+    def ref_commit_limit(self) -> Optional[int]:
+        """Most ref/deref ops one :meth:`commit_chunk_batch` may carry
+        (``None``: unbounded); callers commit larger batches slice by
+        slice (:meth:`ChunkBatch.slices`).
 
-        EC chunk pools fall back to the per-op path: every EC mutation
-        is an independent full-stripe read-modify-write, so nothing
-        merges and a mid-batch fault would leave a committed prefix
-        (see :meth:`~repro.cluster.RadosCluster.submit_batch`).
+        1 on an EC chunk pool — EC ``submit_batch`` is not atomic across
+        items, so a multi-item fault would leave a committed prefix —
+        and when ``batch_refs`` is off (the ablation baseline).
         """
-        return self.config.batch_refs and not self.chunk_pool.is_ec
+        if self.chunk_pool.is_ec or not self.config.batch_refs:
+            return 1
+        return None
 
     # repro-lint: flt-scope -- commit primitive: two-phase prepare makes a fault all-or-nothing; callers own the requeue/defer policy
     def commit_chunk_batch(self, batch: ChunkBatch, via, span=NULL_SPAN):
-        """Process: apply a pass's accumulated ref/deref ops at once.
+        """Process: apply ref/deref ops to the chunk pool at once.
 
-        Per-chunk final states (refcounts, payload stores, removals)
-        are computed in memory under the chunk locks, then the whole
-        batch is committed through
+        Per-chunk final states are computed in memory under the chunk
+        locks, then every changed chunk is committed through
         :meth:`~repro.cluster.RadosCluster.submit_batch` — one prepared
-        transaction per placement group instead of one round trip per
-        refcount update.  A transient fault during the batched prepare
-        leaves no chunk object mutated, so the engine retries the batch
-        as a unit without undo.
+        transaction per placement group.  Per chunk:
+
+        * no object yet and a ref survives: store the payload (compressed
+          when ``compress_chunks`` is on; the chunk's *ID* is always the
+          fingerprint of the uncompressed content) together with its
+          refs in one transaction — the duplicate write that never
+          happens for an existing chunk *is* the deduplication;
+        * an existing object whose last ref is dropped: remove it;
+        * nothing changed (a ref already held, a deref of a missing
+          chunk or ref): no I/O at all, so a crashed pass may safely
+          retry a dereference that already happened (§4.6).
+
+        On a replicated pool a transient fault during the batched
+        prepare leaves no chunk object mutated, so the caller retries
+        the batch as a unit without undo.
 
         Returns a list aligned with ``batch.ops``: ``True`` when that
         ref op newly stored the chunk payload, ``False`` when it
@@ -831,8 +729,7 @@ class DedupTier:
         with span.child(
             "tier.commit_chunk_batch", ops=len(batch.ops), chunks=len(per_chunk)
         ) as s:
-            # Sorted acquisition: concurrent passes (and the per-op path,
-            # which holds at most one chunk lock) cannot deadlock.
+            # Sorted acquisition: concurrent commits cannot deadlock.
             chunk_ids = sorted(per_chunk)
             locks = [self.chunk_lock(cid) for cid in chunk_ids]
             acquired: List[Resource] = []
@@ -849,6 +746,7 @@ class DedupTier:
                     existed = self.chunk_exists(cid)
                     refs = self._load_refs(cid) if existed else RefSet()
                     payload = None
+                    changed = False
                     for i, op in ops:
                         if op[0] == "ref":
                             _, _, ref, data = op
@@ -857,9 +755,13 @@ class DedupTier:
                                 outcomes[i] = True
                             else:
                                 outcomes[i] = False
+                            changed = changed or ref not in refs
                             refs.add(ref)
-                        else:
+                        elif op[2] in refs:
                             refs.discard(op[2])
+                            changed = True
+                    if not changed:
+                        continue
                     key = self.cluster.object_key(self.chunk_pool, cid)
                     txn = Transaction()
                     if len(refs) == 0:
@@ -873,7 +775,7 @@ class DedupTier:
                             for i, op in ops:
                                 if op[0] == "ref":
                                     outcomes[i] = False
-                            payload = None
+                            continue
                     else:
                         if not existed:
                             blob, encoding = payload, b"raw"
@@ -892,8 +794,7 @@ class DedupTier:
                             stored_payloads.append((cid, blob))
                         txn.setxattr(key, REFS_XATTR, refs.serialize())
                         survivors.append((cid, refs))
-                    if len(txn):
-                        items.append((cid, txn))
+                    items.append((cid, txn))
                 try:
                     yield from self.cluster.submit_batch(
                         self.chunk_pool, items, via, span=s
@@ -978,11 +879,12 @@ class DedupTier:
                     obj = osd.store.get(key)
                     cmap_blob = obj.xattrs.get(CHUNK_MAP_XATTR, b"")
                     cmap = (
-                        decode_stored_map(cmap_blob, obj.omap) if cmap_blob else None
+                        ChunkMap.from_stored_v2(cmap_blob, obj.omap)
+                        if cmap_blob
+                        else None
                     )
-                    # v2 maps keep entries in omap records; charge their
-                    # keys+values alongside the header so both formats
-                    # are billed for what they actually store.
+                    # Map entries live in omap records: charge their
+                    # keys+values alongside the header.
                     map_bytes = len(cmap_blob) + sum(
                         len(k) + len(v)
                         for k, v in obj.omap.items()

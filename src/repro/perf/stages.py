@@ -74,14 +74,17 @@ class StageCounters:
     #: GC, recovery, rebalance, deletes) — LRU evictions not included.
     map_cache_invalidations: int = 0
     #: Chunk-map entries actually serialised by commits vs. the entries
-    #: the committed maps held in total.  Incremental (v2) commits keep
-    #: the first well below the second on small-I/O workloads; whole-map
-    #: rewrites pin them equal.
+    #: the committed maps held in total.  Commits write touched entries
+    #: only, keeping the first well below the second on small-I/O
+    #: workloads; ``map_entries_total`` x 150 B is what rewriting every
+    #: map whole would have cost.
     map_entries_serialized: int = 0
     map_entries_total: int = 0
     #: Bytes of map metadata written by commits (headers + entries).
     map_bytes_serialized: int = 0
-    #: Map commits by writer format.
+    #: Map commits.  Every commit writes touched entries only, so
+    #: ``map_commits_full`` (the removed whole-map writer) stays 0; it
+    #: is kept so existing report readers find the field.
     map_commits_incremental: int = 0
     map_commits_full: int = 0
 

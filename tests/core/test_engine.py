@@ -242,3 +242,32 @@ def test_missing_object_is_handled():
     storage = make_storage()
     result = storage.cluster.run(storage.engine.process_object("ghost"))
     assert result == "missing"
+
+
+def test_faulted_deref_slice_is_deferred_alone(monkeypatch):
+    """With one-op slices, a fault on one old-chunk dereference leaves
+    only that chunk over-retained; the next slice still commits."""
+    from repro.faults.errors import TransientOpError
+
+    storage = make_storage(batch_refs=False)
+    old = [bytes([1]) * 1024, bytes([2]) * 1024]
+    storage.write_sync("obj1", b"".join(old))
+    storage.drain()
+    storage.write_sync("obj1", bytes([3]) * 2048)
+    tier = storage.tier
+    real_commit = tier.commit_chunk_batch
+    derefs = {"n": 0}
+
+    def flaky_commit(batch, *args, **kwargs):
+        if batch.ops[0][0] == "deref":
+            derefs["n"] += 1
+            if derefs["n"] == 1:
+                raise TransientOpError(0, "commit_chunk_batch")
+        return real_commit(batch, *args, **kwargs)
+
+    monkeypatch.setattr(tier, "commit_chunk_batch", flaky_commit)
+    storage.drain()  # strict refcounting: GC has nothing queued
+    assert storage.engine.stats.derefs_deferred_fault == 1
+    still = [storage.cluster.exists(tier.chunk_pool, fingerprint(d)) for d in old]
+    assert still == [True, False]
+    assert storage.read_sync("obj1") == bytes([3]) * 2048

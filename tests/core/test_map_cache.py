@@ -3,8 +3,8 @@
 The cache serves the metadata hot path; every test here guards one of
 its invariants: hits only at the committed version, invalidation by
 every owner that can change the stored map behind the cache (aborted
-passes, deletes, GC, recovery, rebalance), and the v2 omap commit
-format staying interchangeable with the legacy whole-blob format.
+passes, deletes, GC, recovery, rebalance), and commits writing only
+the touched entries' omap records.
 """
 
 import pytest
@@ -18,8 +18,8 @@ from repro.core import (
 )
 from repro.core.objects import (
     MAP_OMAP_PREFIX,
+    ChunkMap,
     ChunkMapEntry,
-    is_v2_map_header,
     map_entry_key,
 )
 from repro.fingerprint import fingerprint
@@ -184,11 +184,9 @@ def test_commit_during_load_yield_keeps_fresh_cache_entry():
 
     # Emulate the racing writer's commit landing during the yield: the
     # stored header + omap gain a third entry and the version bumps.
-    from repro.core.objects import decode_stored_map
-
     primary = storage.cluster._primary(tier.metadata_pool, "obj1")
     obj = primary.store.get(tier.metadata_key("obj1"))
-    new_map = decode_stored_map(obj.xattrs[CHUNK_MAP_XATTR], obj.omap)
+    new_map = ChunkMap.from_stored_v2(obj.xattrs[CHUNK_MAP_XATTR], obj.omap)
     new_map.set(ChunkMapEntry(2 * CHUNK, CHUNK))
     obj.xattrs[CHUNK_MAP_XATTR] = new_map.serialize_header_v2(
         tier.map_version("obj1") + 1
@@ -327,19 +325,17 @@ def test_repair_listener_exposes_out_of_band_map_change():
     storage.write_sync("obj1", b"i" * CHUNK)
     assert load_map(storage, "obj1").get(0).dirty
     # Out-of-band rewrite on every replica: entry length shrunk to 7.
-    from repro.core.objects import ChunkMap
-
     doctored = ChunkMap(CHUNK)
     doctored.set(ChunkMapEntry(0, 7))
-    blob = doctored.serialize()
     key = storage.tier.metadata_key("obj1")
     for osd in storage.cluster.osds.values():
         if osd.store.exists(key):
             obj = osd.store.get(key)
-            obj.xattrs[CHUNK_MAP_XATTR] = blob
+            obj.xattrs[CHUNK_MAP_XATTR] = doctored.serialize_header_v2(1)
             for k in list(obj.omap):
                 if k.startswith(MAP_OMAP_PREFIX):
                     del obj.omap[k]
+            obj.omap.update(doctored.omap_entries())
     # Without the notification the cache would still serve the old map.
     storage.cluster.notify_repaired()
     assert load_map(storage, "obj1").get(0).length == 7
@@ -363,14 +359,14 @@ def test_stale_map_after_rebalance():
         assert storage.read_sync(f"obj{i}") == bytes([i]) * CHUNK
 
 
-# -- incremental (v2) commit format ------------------------------------------
+# -- stored (v2) commit format: touched entries only ----------------------
 
 
 def test_incremental_commit_stores_v2_header_and_omap():
     storage = make_storage()
     storage.write_sync("obj1", b"j" * 4 * CHUNK)
     obj = stored_meta(storage, "obj1")
-    assert is_v2_map_header(obj.xattrs[CHUNK_MAP_XATTR])
+    assert obj.xattrs[CHUNK_MAP_XATTR][:4] == b"CMP2"
     assert stored_map_keys(storage, "obj1") == [map_entry_key(i) for i in range(4)]
     assert storage.read_sync("obj1") == b"j" * 4 * CHUNK
 
@@ -405,51 +401,6 @@ def test_dedup_pass_commits_only_processed_entries():
     assert stage.map_commits_full == 0
     fp = fingerprint(b"l" * CHUNK)
     assert storage.cluster.exists(storage.tier.chunk_pool, fp)
-
-
-def test_whole_map_mode_keeps_v1_format():
-    storage = make_storage(incremental_map_commits=False)
-    storage.write_sync("obj1", b"m" * 3 * CHUNK)
-    storage.drain()
-    obj = stored_meta(storage, "obj1")
-    assert obj.xattrs[CHUNK_MAP_XATTR][:4] == b"CMAP"
-    assert stored_map_keys(storage, "obj1") == []
-    stage = storage.tier.stage
-    assert stage.map_commits_incremental == 0
-    assert stage.map_commits_full > 0
-    assert storage.read_sync("obj1") == b"m" * 3 * CHUNK
-
-
-def test_downgrade_from_v2_clears_omap_records():
-    """Turning incremental commits off after a v2 era must remove the
-    per-entry records, or a later upgrade would resurrect stale ones."""
-    storage = make_storage()
-    storage.write_sync("obj1", b"n" * 2 * CHUNK)
-    assert len(stored_map_keys(storage, "obj1")) == 2
-    storage.tier.config.incremental_map_commits = False
-    storage.write_sync("obj1", b"o" * 2 * CHUNK)
-    obj = stored_meta(storage, "obj1")
-    assert obj.xattrs[CHUNK_MAP_XATTR][:4] == b"CMAP"
-    assert stored_map_keys(storage, "obj1") == []
-    assert storage.read_sync("obj1") == b"o" * 2 * CHUNK
-
-
-def test_v1_to_v2_upgrade_writes_every_entry():
-    """A map decoded from a legacy blob has no touched history: the
-    first incremental commit must write all entries."""
-    storage = make_storage(incremental_map_commits=False)
-    storage.write_sync("obj1", b"p" * 3 * CHUNK)
-    assert stored_map_keys(storage, "obj1") == []
-    storage.tier.config.incremental_map_commits = True
-    storage.tier.invalidate_map_cache("obj1")  # force decode from v1 blob
-    storage.write_sync("obj1", b"q" * 16, offset=CHUNK + 5)
-    # Upgrade: header flipped to v2 and every entry materialised.
-    obj = stored_meta(storage, "obj1")
-    assert is_v2_map_header(obj.xattrs[CHUNK_MAP_XATTR])
-    assert len(stored_map_keys(storage, "obj1")) == 3
-    expected = bytearray(b"p" * 3 * CHUNK)
-    expected[CHUNK + 5 : CHUNK + 21] = b"q" * 16
-    assert storage.read_sync("obj1") == bytes(expected)
 
 
 def test_config_rejects_negative_cache_size():

@@ -1,9 +1,7 @@
-"""Chunk-map codec: pack/unpack and serialize/deserialize round-trips.
+"""Chunk-map codec: entry pack/unpack and stored-map round-trips.
 
-Covers the legacy whole-blob (v1, ``CMAP``) format, the incremental
-per-entry omap (v2, ``CMP2``) format, the format-dispatching
-``decode_stored_map`` compatibility reader, and the ``__slots__`` /
-string-interning satellite work.
+Covers the stored (v2, ``CMP2``) format — a header xattr plus one omap
+record per entry — and the ``__slots__`` / string-interning work.
 """
 
 import struct
@@ -19,8 +17,6 @@ from repro.core.objects import (
     ChunkMap,
     ChunkMapEntry,
     ChunkRef,
-    decode_stored_map,
-    is_v2_map_header,
     map_entry_key,
     merge_ranges,
 )
@@ -81,39 +77,15 @@ def chunk_maps(draw):
 
 @given(chunk_maps())
 @settings(max_examples=100)
-def test_map_serialize_deserialize_roundtrip(cmap):
-    got = ChunkMap.deserialize(cmap.serialize())
-    assert entries_equal(got, cmap)
-    # A freshly decoded map carries no pending mutations.
-    assert got.touched_indices() == []
-    assert not got.stored_v2
-
-
-@given(chunk_maps())
-@settings(max_examples=100)
 def test_map_v2_roundtrip_via_header_and_omap(cmap):
     header = cmap.serialize_header_v2(version=7)
-    assert is_v2_map_header(header)
     omap = cmap.omap_entries()
     # Foreign omap keys (refs, bookkeeping) must be ignored by decode.
     omap["unrelated.key"] = b"zzz"
-    got = decode_stored_map(header, omap)
+    got = ChunkMap.from_stored_v2(header, omap)
     assert entries_equal(got, cmap)
-    assert got.stored_v2
+    # A freshly decoded map carries no pending mutations.
     assert got.touched_indices() == []
-
-
-@given(chunk_maps())
-@settings(max_examples=100)
-def test_old_format_blob_compat(cmap):
-    """decode_stored_map dispatches v1 blobs to the legacy reader, even
-    with stale v2 omap records sitting next to them."""
-    blob = cmap.serialize()
-    assert not is_v2_map_header(blob)
-    stale_omap = {map_entry_key(999): b"\x00" * CHUNK_MAP_ENTRY_BYTES}
-    got = decode_stored_map(blob, stale_omap)
-    assert entries_equal(got, cmap)
-    assert not got.stored_v2
 
 
 @given(

@@ -89,11 +89,11 @@ def test_start_overrides_fingerprint_workers():
 def test_aborted_pass_leaves_no_outstanding_futures(monkeypatch):
     """A retryable fault mid-commit must settle every staged future.
 
-    Sequential-commit mode faults between the ordered gather's first and
-    second chunk, the worst case: some handles consumed, some not.  The
-    abort path (``_abandon_staged``) has to settle the stragglers so the
-    pool holds no chunk payload from the dead pass; the later drain then
-    converges to a clean scrub.
+    With ``batch_refs`` off the pass commits its refs in one-op slices;
+    the fault hits the second slice, after the first committed.  The
+    abort path (``_abandon_staged``) has to settle every handle so the
+    pool holds no chunk payload from the dead pass, the committed slice
+    is undone, and the later drain converges to a clean scrub.
     """
     storage = make_storage(
         fingerprint_workers=4,
@@ -106,23 +106,24 @@ def test_aborted_pass_leaves_no_outstanding_futures(monkeypatch):
         storage.write_sync(oid, data)
 
     tier = storage.tier
-    real_chunk_ref = tier.chunk_ref
-    calls = {"n": 0}
+    real_commit = tier.commit_chunk_batch
+    calls = {"refs": 0}
 
-    def flaky_chunk_ref(*args, **kwargs):
-        calls["n"] += 1
-        if calls["n"] == 2:
-            raise TransientOpError(0, "chunk_ref")
-        return real_chunk_ref(*args, **kwargs)
+    def flaky_commit(batch, *args, **kwargs):
+        if batch.ops[0][0] == "ref":
+            calls["refs"] += 1
+            if calls["refs"] == 2:
+                raise TransientOpError(0, "commit_chunk_batch")
+        return real_commit(batch, *args, **kwargs)
 
-    monkeypatch.setattr(tier, "chunk_ref", flaky_chunk_ref)
+    monkeypatch.setattr(tier, "commit_chunk_batch", flaky_commit)
     result = storage.cluster.run(storage.engine.process_object("obj0", force=True))
     assert result == "faulted"
-    assert calls["n"] == 2  # the fault hit mid-gather, handles were staged
+    assert calls["refs"] == 2  # the fault hit the second one-op slice
     assert storage.engine.fingerprint_pool.outstanding == 0
     assert storage.engine.stats.objects_requeued_fault == 1
 
-    monkeypatch.setattr(tier, "chunk_ref", real_chunk_ref)
+    monkeypatch.setattr(tier, "commit_chunk_batch", real_commit)
     storage.drain()
     assert storage.engine.fingerprint_pool.outstanding == 0
     assert storage.read_sync("obj0") == objects["obj0"]

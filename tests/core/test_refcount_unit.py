@@ -81,3 +81,36 @@ def test_deref_foreign_ref_leaves_chunk():
     tier.cluster.run(tier.chunk_deref(fp, other, via))  # not a holder
     assert tier.cluster.exists(tier.chunk_pool, fp)
     assert tier.chunk_refcount(fp) == 1
+
+
+def test_fp_gc_requeues_only_the_faulted_slice(monkeypatch):
+    from repro.faults.errors import TransientOpError
+
+    tier, via = make_tier("false_positive")
+    tier.config.batch_refs = False  # one-op slices
+    counter = FalsePositiveRefcount(tier)
+    fps = []
+    for i in range(3):
+        data = bytes([i + 1]) * 512
+        fps.append(fingerprint(data))
+        ref = ChunkRef(tier.metadata_pool.pool_id, "o", i * 512)
+        tier.cluster.run(tier.chunk_ref(fps[-1], ref, data, via))
+        tier.cluster.run(counter.deref(fps[-1], ref, via))
+    real_commit = tier.commit_chunk_batch
+    calls = {"n": 0}
+
+    def flaky_commit(batch, *args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] == 2:
+            raise TransientOpError(0, "commit_chunk_batch")
+        return real_commit(batch, *args, **kwargs)
+
+    monkeypatch.setattr(tier, "commit_chunk_batch", flaky_commit)
+    tier.cluster.run(counter.gc(via))
+    # The second slice faulted: only its deref waits for the next pass.
+    assert counter.collected == 2
+    assert counter.pending == 1
+    assert [tier.cluster.exists(tier.chunk_pool, fp) for fp in fps] == [False, True, False]
+    tier.cluster.run(counter.gc(via))
+    assert counter.pending == 0
+    assert not tier.cluster.exists(tier.chunk_pool, fps[1])

@@ -89,13 +89,13 @@ def test_write_transaction_is_atomic_on_all_replicas():
     storage.write_sync("obj1", b"x" * 2048)
     key = storage.tier.metadata_key("obj1")
     from repro.core import CHUNK_MAP_XATTR
-    from repro.core.objects import decode_stored_map
+    from repro.core.objects import ChunkMap
 
     for osd in storage.cluster.osds.values():
         if not osd.store.exists(key):
             continue
         obj = osd.store.get(key)
-        cmap = decode_stored_map(obj.xattrs[CHUNK_MAP_XATTR], obj.omap)
+        cmap = ChunkMap.from_stored_v2(obj.xattrs[CHUNK_MAP_XATTR], obj.omap)
         assert len(obj.data) == cmap.logical_size()
         assert all(e.dirty and e.cached for e in cmap)
 
