@@ -25,6 +25,9 @@ def run_policy(policy: str):
         cache_capacity_bytes=HOT_SET * OBJ_SIZE,  # room for the hot set only
         hit_count_threshold=1,
         hitset_period=1_000.0,  # everything counts as hot: cache-on-flush
+        # The paper's system has no chunk data cache; one here would
+        # serve the cold reads too and blur the policies' hit rates.
+        chunk_cache_bytes=0,
     )
     rng = RngRegistry(seed=17).stream(f"access-{policy}")
     for i in range(NUM_OBJECTS):

@@ -19,7 +19,7 @@ from repro.bench import KiB, MiB, build_cluster, proposed, render_table, report
 from repro.cluster import Rebalancer, placement_report, recover_sync
 from repro.workloads import ContentGenerator
 
-# REPRO_BENCH_FAST=1 (the CI bench-smoke job) shrinks the dataset so the
+# REPRO_BENCH_FAST=1 (the CI paper-smoke job) shrinks the dataset so the
 # experiment stays a smoke test.
 FAST = bool(os.environ.get("REPRO_BENCH_FAST"))
 

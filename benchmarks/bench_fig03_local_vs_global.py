@@ -27,7 +27,7 @@ from repro.workloads import (
 
 CHUNK = 32 * KiB
 
-# REPRO_BENCH_FAST=1 (the CI bench-smoke job) halves the datasets so the
+# REPRO_BENCH_FAST=1 (the CI paper-smoke job) halves the datasets so the
 # whole figure runs in seconds; the measured ratios stay inside the
 # assertion tolerances.
 FAST = bool(os.environ.get("REPRO_BENCH_FAST"))

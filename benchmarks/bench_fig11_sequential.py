@@ -17,7 +17,7 @@ import os
 from repro.bench import KiB, MiB, build_cluster, original, proposed, render_table, report
 from repro.workloads import FioJobSpec, FioRunner
 
-# REPRO_BENCH_FAST=1 (the CI bench-smoke job) halves each client's file;
+# REPRO_BENCH_FAST=1 (the CI paper-smoke job) halves each client's file;
 # the bandwidth *ratios* the assertions check are unaffected.
 FAST = bool(os.environ.get("REPRO_BENCH_FAST"))
 

@@ -16,7 +16,7 @@ import os
 from repro.bench import KiB, MiB, build_cluster, proposed, render_table, report
 from repro.workloads import FioJobSpec, FioRunner
 
-# REPRO_BENCH_FAST=1 (the CI bench-smoke job) shrinks the workload so
+# REPRO_BENCH_FAST=1 (the CI paper-smoke job) shrinks the workload so
 # the shape of the result survives but the run finishes in seconds.
 FAST = bool(os.environ.get("REPRO_BENCH_FAST"))
 

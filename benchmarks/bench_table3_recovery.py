@@ -21,7 +21,7 @@ from repro.bench import KiB, MiB, build_cluster, original, proposed, render_tabl
 from repro.cluster import recover_sync
 from repro.workloads import FioJobSpec, FioRunner
 
-# REPRO_BENCH_FAST=1 (the CI bench-smoke job) trims the sweep; the
+# REPRO_BENCH_FAST=1 (the CI paper-smoke job) trims the sweep; the
 # speedup assertions still run on the points that remain.
 FAST = bool(os.environ.get("REPRO_BENCH_FAST"))
 

@@ -4,15 +4,12 @@
 # Tools that only CI installs (ruff, mypy, pytest-cov) are skipped with
 # a notice when absent.  Usage:
 #
-#   scripts/ci_local.sh               # lint + invariants + tests + coverage + faults + elasticity + perf + perfbench
-#   scripts/ci_local.sh --bench       # also the nightly bench smoke
+#   scripts/ci_local.sh               # lint + invariants + tests + coverage + faults + elasticity + perf + perfbench + paper-smoke
 #   scripts/ci_local.sh --bench-full  # also the full (slow) benchmark suite
 set -u
 cd "$(dirname "$0")/.."
 
-RUN_BENCH=0
 RUN_BENCH_FULL=0
-[ "${1:-}" = "--bench" ] && RUN_BENCH=1
 [ "${1:-}" = "--bench-full" ] && RUN_BENCH_FULL=1
 
 FAILURES=0
@@ -43,7 +40,7 @@ expected = {
     "lint", "lint-invariants", "sanitizer-smoke", "test", "test-no-numpy",
     "coverage", "faults-smoke", "elasticity-smoke", "perf-smoke",
     "perfbench-smoke", "obs-smoke", "obs-overhead", "perf-baseline-refresh",
-    "bench-smoke", "bench-full",
+    "paper-smoke", "bench-full",
 }
 assert expected <= set(jobs), jobs.keys()
 sseeds = jobs["sanitizer-smoke"]["strategy"]["matrix"]["sanitizer-seed"]
@@ -116,7 +113,7 @@ done
 # -- perf-smoke job ---------------------------------------------------------
 # Runs every harness workload, including the read-heavy
 # read-sequential-deduped one: the baseline gates min_speedup,
-# min_read_speedup (read fan-out + coalescing + chunk data cache), and
+# min_read_speedup (the chunk data cache over the batched fan-out), and
 # the >60% re-read chunk-cache hit rate.
 step "perf-smoke: harness vs committed baseline" \
     env PYTHONPATH=src python -m repro perf --fast --workers 4 \
@@ -139,17 +136,10 @@ step "obs-smoke: span rollup report" \
 step "obs-overhead: tracing overhead vs untraced + baseline" \
     env PYTHONPATH=src python scripts/check_obs_overhead.py
 
-# -- bench-smoke job (nightly; opt-in locally) ------------------------------
-if [ "$RUN_BENCH" = 1 ]; then
-    step "bench-smoke: fast-mode benchmarks" \
-        env PYTHONPATH=src REPRO_BENCH_FAST=1 python -m pytest -q \
-        benchmarks/bench_fig14_rate_control.py \
-        benchmarks/bench_table3_recovery.py \
-        --benchmark-json=bench-smoke.json
-else
-    echo
-    echo "==> bench-smoke: skipped (pass --bench to run)"
-fi
+# -- paper-smoke job --------------------------------------------------------
+step "paper-smoke: fast-mode paper-shape benchmarks" \
+    env PYTHONPATH=src REPRO_BENCH_FAST=1 python -m pytest -q benchmarks \
+    --benchmark-json=paper-smoke.json
 
 # -- bench-full job (nightly / dispatch input; opt-in locally) ---------------
 if [ "$RUN_BENCH_FULL" = 1 ]; then

@@ -537,22 +537,14 @@ class RadosCluster:
         client: Optional[Client] = None,
         span=NULL_SPAN,
     ):
-        """Process: read ``length`` bytes at ``offset``; returns bytes."""
-        with span.child("rados.read", pool=pool.name, pg=pool.pg_of(oid)) as s:
-            if pool.is_ec:
-                data = yield from self._ec_read(pool, oid, client)
-                if length is None:
-                    return data[offset:]
-                return data[offset : offset + length]
-            client = client or self._default_client
-            key = self.object_key(pool, oid)
-            yield from self._rpc_latency()  # request
-            primary, data = yield from self._read_with_failover(
-                pool, oid, key, offset, length
-            )
-            s.tag(osd=primary.osd_id, nbytes=len(data))
-            yield from self._transfer(primary.node.nic, client.nic, len(data))
-            return data
+        """Process: read ``length`` bytes at ``offset``; returns bytes.
+
+        A one-item :meth:`read_batch`.
+        """
+        results = yield from self.read_batch(
+            pool, [(oid, offset, length)], client, span=span
+        )
+        return results[0]
 
     def read_batch(
         self,
@@ -564,57 +556,58 @@ class RadosCluster:
         """Process: read many ``(oid, offset, length)`` ranges with one
         request round per placement group.
 
-        The multi-op companion of :meth:`read` (the read-side peer of
-        :meth:`submit_batch`): requests are grouped by PG, and each
-        group costs one request RPC, one primary read per distinct
-        object (ranges of the *same* object are merged into one
-        covering disk read), and one combined transfer back to the
+        The read-side peer of :meth:`submit_batch`: requests are grouped
+        by PG, and each group costs one request RPC, one primary read
+        per distinct object (ranges of the *same* object are merged into
+        one covering disk read), and one combined transfer back to the
         client — so a sequential scan over chunks co-located on a few
         primaries pays O(groups) round trips instead of O(chunks).
-        Groups proceed in parallel.
+        Groups proceed in parallel; a single group runs inline, so a
+        one-item batch costs exactly one plain read (its span keeps the
+        name ``rados.read``).
 
         Returns a list of byte strings aligned with ``requests``.  A
-        range past the stored object comes back short, exactly as with
-        :meth:`read`; a missing object raises :class:`NoSuchObject` for
-        the whole batch (reads are side-effect free, so callers retry
-        the batch as a unit).
+        range past the stored object comes back short; a missing object
+        raises :class:`NoSuchObject` for the whole batch (reads are
+        side-effect free, so callers retry the batch as a unit).
 
         On an erasure-coded pool nothing merges (every read is a
-        k-shard gather + decode), so items fall back to sequential
-        per-object reads.
+        k-shard gather + decode), so items are read one after another.
         """
         requests = list(requests)
         if not requests:
             return []
+        groups: Dict[int, List[int]] = {}
+        for i, (oid, _offset, _length) in enumerate(requests):
+            groups.setdefault(pool.pg_of(oid), []).append(i)
         if len(requests) == 1:
-            oid, offset, length = requests[0]
-            data = yield from self.read(pool, oid, offset, length, client, span=span)
-            return [data]
-        with span.child(
-            "rados.read_batch", pool=pool.name, items=len(requests)
-        ) as s:
+            ctx = span.child("rados.read", pool=pool.name, pg=next(iter(groups)))
+        else:
+            ctx = span.child("rados.read_batch", pool=pool.name, items=len(requests))
+        with ctx as s:
             client = client or self._default_client
             results: List[Optional[bytes]] = [None] * len(requests)
             if pool.is_ec:
                 for i, (oid, offset, length) in enumerate(requests):
-                    results[i] = yield from self.read(
-                        pool, oid, offset, length, client, span=s
+                    data = yield from self._ec_read(pool, oid, client)
+                    results[i] = (
+                        data[offset:] if length is None else data[offset : offset + length]
                     )
                 return results
-            groups: Dict[int, List[int]] = {}
-            for i, (oid, _offset, _length) in enumerate(requests):
-                groups.setdefault(pool.pg_of(oid), []).append(i)
+            if len(groups) == 1:
+                (indices,) = groups.values()
+                yield from self._read_group(pool, requests, indices, client, results, s)
+                return results
             s.tag(pgs=len(groups))
-            procs = [
+            yield self.sim.all_of([
                 self.sim.process(
                     self._read_group(pool, requests, groups[pg], client, results)
                 )
                 for pg in sorted(groups)
-            ]
-            yield self.sim.all_of(procs)
+            ])
             return results
 
-    def _read_group(self, pool: Pool, requests, indices, client, results):
+    def _read_group(self, pool: Pool, requests, indices, client, results, span=NULL_SPAN):
         """Process: serve one PG's share of a batched read.
 
         One request RPC covers the group; per distinct object the
@@ -625,40 +618,31 @@ class RadosCluster:
         """
         yield from self._rpc_latency()  # request fan-out, once per group
         by_oid: Dict[str, List[int]] = {}
-        order: List[str] = []
         for i in indices:
-            oid = requests[i][0]
-            if oid not in by_oid:
-                by_oid[oid] = []
-                order.append(oid)
-            by_oid[oid].append(i)
+            by_oid.setdefault(requests[i][0], []).append(i)
         total = 0
-        source: Optional[OSD] = None
-        for oid in order:
-            sub = by_oid[oid]
+        primaries: List[OSD] = []
+        for oid, sub in by_oid.items():
             key = self.object_key(pool, oid)
-            if any(requests[i][2] is None for i in sub):
-                lo: int = 0
-                span_len: Optional[int] = None
-            else:
-                lo = min(requests[i][1] for i in sub)
-                hi = max(requests[i][1] + requests[i][2] for i in sub)
-                span_len = hi - lo
-            # Same failover semantics as a single read: only a primary
-            # dying mid-dispatch re-resolves; injected errors belong to
-            # the caller's retry layer.
+            lo = min(requests[i][1] for i in sub)
+            span_len: Optional[int] = None
+            if all(requests[i][2] is not None for i in sub):
+                span_len = max(requests[i][1] + requests[i][2] for i in sub) - lo
+            # Only a primary dying mid-dispatch re-resolves; injected
+            # errors belong to the caller's retry layer.
             primary, data = yield from self._read_with_failover(
                 pool, oid, key, lo, span_len
             )
-            source = source or primary
+            primaries.append(primary)
             for i in sub:
                 offset, length = requests[i][1], requests[i][2]
                 rel = offset - lo
                 piece = data[rel:] if length is None else data[rel : rel + length]
                 results[i] = piece
                 total += len(piece)
-        if source is not None:
-            yield from self._transfer(source.node.nic, client.nic, total)
+        source = primaries[0]
+        span.tag(osd=source.osd_id, nbytes=total)
+        yield from self._transfer(source.node.nic, client.nic, total)
 
     def _read_with_failover(self, pool: Pool, oid: str, key: ObjectKey, offset, length):
         """Process: read at the primary, failing over to the next up

@@ -119,21 +119,10 @@ class DedupConfig:
     #: Byte budget of the hotness-aware chunk data cache in front of the
     #: chunk pool (``repro.core.read_cache.ChunkDataCache``): payloads
     #: are keyed by fingerprint (content-addressed, so never stale) and
-    #: admitted only on their second sighting.  0 disables.
+    #: admitted only on their second sighting.  An HPDedup-style
+    #: extension: the paper's system has no chunk data cache, so the
+    #: paper-figure benchmarks pin it to 0.  0 disables.
     chunk_cache_bytes: int = 8 * 1024 * KiB
-    #: Bound on the admission filter's ghost list (fingerprints seen
-    #: once, no payload held).
-    chunk_cache_ghost_entries: int = 4096
-    #: Bounded in-flight window for parallel chunk-pool reads on the
-    #: read path: at most this many chunk fetches are outstanding per
-    #: logical read.  0 issues them one at a time, sequentially (the
-    #: pre-optimisation baseline).
-    read_fanout_window: int = 16
-    #: Coalesce chunk-pool reads that share a placement group into one
-    #: ``RadosCluster.read_batch`` multi-op (O(holders) round trips per
-    #: sequential scan instead of O(chunks)).  Compressed chunk pools
-    #: fall back to per-chunk reads — decompression needs whole chunks.
-    coalesce_reads: bool = True
     #: Background dedup thread count (paper §3.2: "background
     #: deduplication threads periodically conduct a deduplication job").
     engine_workers: int = 8
@@ -228,15 +217,6 @@ class DedupConfig:
         if self.chunk_cache_bytes < 0:
             raise ValueError(
                 f"chunk_cache_bytes must be >= 0, got {self.chunk_cache_bytes}"
-            )
-        if self.chunk_cache_ghost_entries < 0:
-            raise ValueError(
-                f"chunk_cache_ghost_entries must be >= 0, "
-                f"got {self.chunk_cache_ghost_entries}"
-            )
-        if self.read_fanout_window < 0:
-            raise ValueError(
-                f"read_fanout_window must be >= 0, got {self.read_fanout_window}"
             )
         if self.trace_max_spans < 0:
             raise ValueError(

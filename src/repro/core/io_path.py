@@ -104,12 +104,13 @@ def _read_chunk_piece(tier, chunk_id, offset, length, client, span=NULL_SPAN):
 
 
 def _read_chunk_group(tier, fetches, client, span=NULL_SPAN):
-    """Process: one coalesced multi-op read for chunk fetches sharing a
-    placement group (:meth:`~repro.cluster.RadosCluster.read_batch`).
+    """Process: every uncompressed chunk fetch of one logical read as
+    one :meth:`~repro.cluster.RadosCluster.read_batch` call (which
+    issues one round per placement group, all groups in parallel).
 
     Returns a list of byte strings aligned with ``fetches``.  Retried
     as a unit — reads are side-effect free, so a transient fault just
-    re-issues the whole group.
+    re-issues the whole batch.
     """
     cluster = tier.cluster
     client = client or cluster._default_client
@@ -352,35 +353,22 @@ def _place_segment(tier, buf, base, sstart, seg_len, segment, span):
     buf[sstart - base : sstart - base + seg_len] = segment
 
 
-def _windowed(window, gen):
-    """Process: run ``gen`` holding one slot of the fan-out window."""
-    yield window.acquire()
-    try:
-        result = yield from gen
-        return result
-    finally:
-        window.release()
-
-
 def _gather(tier, oid, buf, base, cached_pieces, chunk_pieces, client, span=NULL_SPAN):
     """Process: fetch every planned piece and assemble ``buf`` in place.
-
-    Three layers, each independently disableable (the UNBATCHED perf
-    baseline turns all three off):
 
     1. **chunk data cache** — chunk-backed pieces whose fingerprint is
        resident are served from memory with no simulated I/O; misses on
        a second-sighted fingerprint widen the fetch to the whole chunk
        so it can be admitted (never a torn payload — admission checks
-       the length against the map entry);
-    2. **contiguity-aware coalescing** — remaining fetches are grouped
-       by the placement group holding the chunk and issued as one
-       :meth:`~repro.cluster.RadosCluster.read_batch` multi-op per
-       group (compressed pools fall back to per-chunk reads, which
-       need whole-chunk decompression anyway);
-    3. **bounded fan-out** — the resulting jobs (cached pieces + chunk
-       fetches/groups) run concurrently through the tier's read window,
-       or strictly one at a time when the window is disabled.
+       the length against the map entry).  ``chunk_cache_bytes = 0``
+       takes it out of the path.
+    2. **parallel fan-out** — every remaining chunk fetch goes out at
+       once: on an uncompressed chunk pool as one
+       :meth:`~repro.cluster.RadosCluster.read_batch` (one round per
+       placement group), on a compressed pool as one
+       :meth:`~repro.core.tier.DedupTier.read_chunk` per chunk, since
+       decompression needs whole chunks.  Cached pieces and chunk
+       fetches all run under one ``all_of``; a single job runs inline.
 
     Cache hit/miss tallies are folded into the stage counters only when
     the attempt completes, so a ``NoSuchObject`` race retried by
@@ -430,6 +418,10 @@ def _gather(tier, oid, buf, base, cached_pieces, chunk_pieces, client, span=NULL
                 tier, buf, base, sstart, ln, data[rel - f_off : rel - f_off + ln], span
             )
 
+    def place_fetches(results):
+        for fetch, data in zip(fetches, results):
+            place_fetch(fetch, data)
+
     # Build the job list: (generator, result handler).
     jobs: List[Tuple[object, object]] = []
     for sstart, ln in cached_pieces:
@@ -437,52 +429,27 @@ def _gather(tier, oid, buf, base, cached_pieces, chunk_pieces, client, span=NULL
         jobs.append((gen, lambda seg, s=sstart, n=ln: _place_segment(
             tier, buf, base, s, n, seg, span)))
     batches = 0
-    batched_chunks = 0
-    coalesce = (
-        tier.config.coalesce_reads
-        and not tier.config.compress_chunks
-        and len(fetches) > 1
-    )
-    if coalesce:
-        groups: "OrderedDict[int, list]" = OrderedDict()
-        for fetch in fetches:
-            groups.setdefault(tier.chunk_pool.pg_of(fetch[0]), []).append(fetch)
-        for pg in sorted(groups):
-            grp = groups[pg]
-            gen = _read_chunk_group(tier, grp, client, span)
-
-            def handle_group(results, grp=grp):
-                for fetch, data in zip(grp, results):
-                    place_fetch(fetch, data)
-
-            jobs.append((gen, handle_group))
-        batches = len(groups)
-        batched_chunks = len(fetches)
+    if fetches and not tier.config.compress_chunks:
+        jobs.append((_read_chunk_group(tier, fetches, client, span), place_fetches))
+        batches = len({tier.chunk_pool.pg_of(f[0]) for f in fetches})
     else:
         for fetch in fetches:
             chunk_id, f_off, f_len, _admit, _pieces = fetch
             gen = _read_chunk_piece(tier, chunk_id, f_off, f_len, client, span)
             jobs.append((gen, lambda data, f=fetch: place_fetch(f, data)))
 
-    window = tier.read_window
     with span.child("tier.read_fanout") as s_f:
         s_f.tag(
             jobs=len(jobs),
             cache_hits=hits,
             chunk_fetches=len(fetches),
             batches=batches,
-            window=tier.config.read_fanout_window,
         )
-        if window is None or len(jobs) <= 1:
-            # Sequential issue: the pre-optimisation baseline (and the
-            # trivial single-job case, where a process adds only cost).
-            for gen, handle in jobs:
-                result = yield from gen
-                handle(result)
-        else:
-            procs = [
-                tier.sim.process(_windowed(window, gen)) for gen, _handle in jobs
-            ]
+        if len(jobs) == 1:
+            gen, handle = jobs[0]
+            handle((yield from gen))
+        elif jobs:
+            procs = [tier.sim.process(gen) for gen, _handle in jobs]
             results = yield tier.sim.all_of(procs)
             for (_gen, handle), result in zip(jobs, results):
                 handle(result)
@@ -490,7 +457,8 @@ def _gather(tier, oid, buf, base, cached_pieces, chunk_pieces, client, span=NULL
     tier.stage.chunk_cache_misses += misses
     tier.stage.fanout_chunk_reads += len(fetches)
     tier.stage.fanout_batches += batches
-    tier.stage.fanout_batched_chunks += batched_chunks
+    if batches:
+        tier.stage.fanout_batched_chunks += len(fetches)
 
 
 def _read_once(tier, oid, offset, length, client, span=NULL_SPAN):

@@ -25,7 +25,11 @@ from typing import Optional
 
 from ..perf.stages import StageCounters
 
-__all__ = ["ChunkDataCache"]
+__all__ = ["GHOST_ENTRIES", "ChunkDataCache"]
+
+#: Bound on the admission filter's ghost list (fingerprints seen once,
+#: no payload held).
+GHOST_ENTRIES = 4096
 
 
 class ChunkDataCache:
@@ -42,7 +46,7 @@ class ChunkDataCache:
         self,
         capacity_bytes: int,
         stage: StageCounters,
-        ghost_entries: int = 4096,
+        ghost_entries: int = GHOST_ENTRIES,
     ):
         self.capacity = capacity_bytes
         self.stage = stage

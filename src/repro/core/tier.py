@@ -269,20 +269,7 @@ class DedupTier:
         #: Wired into chunk reclamation via invalidate_chunk_state and
         #: into recovery/rebalance via the repair listener above.
         self.chunk_data_cache = ChunkDataCache(
-            self.config.chunk_cache_bytes,
-            self.stage,
-            ghost_entries=self.config.chunk_cache_ghost_entries,
-        )
-        #: Bounded in-flight window for parallel chunk fetches on the
-        #: read path; ``None`` means the read loop issues them one at a
-        #: time (``read_fanout_window = 0``).  Deliberately unlabeled:
-        #: a counted fan-out window is a device-style throttle, not a
-        #: lock — the runtime lock sanitizer must not treat the N
-        #: concurrent holders as suspect double-acquires.
-        self.read_window: Optional[Resource] = (
-            Resource(cluster.sim, capacity=self.config.read_fanout_window)
-            if self.config.read_fanout_window > 0
-            else None
+            self.config.chunk_cache_bytes, self.stage
         )
         #: Hook invoked (with the oid) when a read finds a hot object
         #: whose chunks are not cached; the facade wires it to the

@@ -9,9 +9,9 @@ simulator-free ``pipeline-chunk-fingerprint`` workload isolates the
 chunk → fingerprint pipeline itself: reference boundary scan + serial
 hashing vs the NumPy-vectorized scan + ``FingerprintPool`` fan-out.
 The ``read-sequential-deduped`` workload (and a timed read phase on
-``fio-small-random``) isolates the read path: sequential chunk fetches
-vs the parallel fan-out window + contiguity-aware coalescing + the
-hotness-aware chunk data cache.
+``fio-small-random``) isolates the read path: the batched parallel
+fetch with no chunk data cache (what shipped before the cache) vs the
+same fetch with the hotness-aware chunk data cache in front of it.
 
 Every pair is also *verified*: both modes must produce byte-identical
 read-back, identical chunk refcounts, and the same (clean) scrub
@@ -67,16 +67,13 @@ REFERENCE_SCORE = 1000.0
 #: Config overrides that turn every hot-path optimisation off — the
 #: pre-optimisation per-op baseline (ref commits in slices of one op,
 #: no RefSet cache, no negative Bloom filter, no decoded-map cache, and
-#: the read path stripped of all three layers: no chunk data cache, no
-#: read coalescing, chunk fetches issued one at a time).
+#: no chunk data cache: reads keep their one batched parallel fetch).
 UNBATCHED = dict(
     batch_refs=False,
     refset_cache_entries=0,
     chunk_bloom_capacity=0,
     map_cache_entries=0,
     chunk_cache_bytes=0,
-    read_fanout_window=0,
-    coalesce_reads=False,
 )
 
 
@@ -277,8 +274,8 @@ def _run_fio_mode(
     """Small-random fio: chunk-aligned random writes, heavy dedup, two
     write+drain cycles (the second hits existing chunks, exercising the
     ref-append path the batching collapses), then a timed random-read
-    phase over the deduplicated objects (exercising the read fan-out,
-    coalescing, and the chunk data cache on the second pass)."""
+    phase over the deduplicated objects (exercising the batched read
+    fan-out, and the chunk data cache on the second pass)."""
     if trace:
         overrides = dict(overrides, trace_ops=True)
     spec = FioJobSpec(
@@ -317,7 +314,7 @@ def _run_fio_mode(
         storage.engine.stats.chunks_flushed + storage.engine.stats.chunks_deduped
     )
     # Timed read phase: two full sweeps over every fio object.  The
-    # first is cold (fan-out + coalescing against the chunk pool); the
+    # first is cold (batched fan-out against the chunk pool); the
     # second re-reads the same chunks, so with the data cache enabled
     # most fetches never reach the pool.
     names = [
@@ -506,8 +503,8 @@ def _run_read_mode(
     and two measured re-read passes whose chunk-cache hit rate is
     captured into ``extra["reread_chunk_cache_hit_rate"]``.
     ``cache_on_flush=False`` and ``selective_dedup=False`` force every
-    read through the chunk pool so the fan-out window, coalescing, and
-    the data cache are the only things between the client and the OSDs.
+    read through the chunk pool so the batched fan-out and the data
+    cache are the only things between the client and the OSDs.
     """
     if trace:
         overrides = dict(overrides, trace_ops=True)

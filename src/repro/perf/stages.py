@@ -103,8 +103,10 @@ class StageCounters:
     #: Chunk-object fetches the read path issued to the pool (after the
     #: data cache, with same-chunk pieces merged).
     fanout_chunk_reads: int = 0
-    #: Coalesced ``read_batch`` round trips, and the chunk fetches they
-    #: carried (fanout_batched_chunks / fanout_batches = merge factor).
+    #: Round trips of the read path's ``read_batch`` calls (one per
+    #: distinct placement group in each batch), and the chunk fetches
+    #: they carried (fanout_batched_chunks / fanout_batches = merge
+    #: factor).
     fanout_batches: int = 0
     fanout_batched_chunks: int = 0
 

@@ -201,6 +201,74 @@ def test_ec_stat_reports_logical_length(cluster, ecpool):
     assert cluster.run(cluster.stat(ecpool, "obj1")) == 12345
 
 
+# ---------------------------------------------------------------- read_batch
+
+
+def _ops_reads(cluster):
+    return sum(osd.op_reads for osd in cluster.osds.values())
+
+
+def test_one_item_read_batch_is_a_plain_read():
+    def timed(call):
+        cluster = RadosCluster(num_hosts=4, osds_per_host=4, pg_num=32)
+        pool = cluster.create_pool("data", Replicated(2))
+        cluster.write_full_sync(pool, "obj1", bytes(range(256)) * 64)
+        before = cluster.sim.now
+        data = cluster.run(call(cluster, pool))
+        return data, cluster.sim.now - before
+
+    read = timed(lambda c, p: c.read(p, "obj1", 100, 5000))
+    batch = timed(lambda c, p: c.read_batch(p, [("obj1", 100, 5000)]))
+    assert batch == ([read[0]], read[1])
+    assert read[0] == (bytes(range(256)) * 64)[100:5100]
+
+
+def test_multi_pg_read_batch_results_align_with_requests(cluster, rpool):
+    payloads = {f"obj{i}": bytes([i]) * (1000 + i) for i in range(12)}
+    for oid, data in payloads.items():
+        cluster.write_full_sync(rpool, oid, data)
+    assert len({rpool.pg_of(oid) for oid in payloads}) > 1
+    requests = [(oid, i % 7, 100 + i) for i, oid in enumerate(reversed(list(payloads)))]
+    results = cluster.run(cluster.read_batch(rpool, requests))
+    assert results == [payloads[oid][off : off + ln] for oid, off, ln in requests]
+
+
+def test_read_batch_merges_ranges_of_one_object_into_one_disk_read(cluster, rpool):
+    cluster.write_full_sync(rpool, "obj1", b"0123456789" * 100)
+    before = _ops_reads(cluster)
+    results = cluster.run(
+        cluster.read_batch(rpool, [("obj1", 900, 10), ("obj1", 10, 5)])
+    )
+    assert results == [b"0123456789", b"01234"]
+    assert _ops_reads(cluster) - before == 1
+
+
+def test_ec_read_batch(cluster, ecpool):
+    cluster.write_full_sync(ecpool, "a", b"a" * 5000)
+    cluster.write_full_sync(ecpool, "b", b"0123456789")
+    results = cluster.run(
+        cluster.read_batch(ecpool, [("b", 4, 3), ("a", 0, None), ("b", 8, None)])
+    )
+    assert results == [b"456", b"a" * 5000, b"89"]
+
+
+def test_read_batch_with_a_missing_object_raises(cluster, rpool):
+    cluster.write_full_sync(rpool, "obj1", b"x" * 10)
+    with pytest.raises(NoSuchObject):
+        cluster.run(cluster.read_batch(rpool, [("obj1", 0, 10), ("ghost", 0, 10)]))
+
+
+def test_read_batch_range_past_the_end_comes_back_short(cluster, rpool):
+    cluster.write_full_sync(rpool, "obj1", b"0123456789")
+    cluster.write_full_sync(rpool, "obj2", b"abc")
+    results = cluster.run(
+        cluster.read_batch(
+            rpool, [("obj1", 8, 10), ("obj2", 5, 4), ("obj1", 0, 2)]
+        )
+    )
+    assert results == [b"89", b"", b"01"]
+
+
 # ---------------------------------------------------------------- topology
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import NoSuchObject, RadosCluster
+from repro.cluster import OSD, NoSuchObject, RadosCluster
 from repro.core import CHUNK_MAP_XATTR, DedupConfig, DedupedStorage
 
 
@@ -156,3 +156,48 @@ def test_short_segment_read_pads_and_counts(storage):
     got = storage.read_sync("obj1")
     assert storage.tier.stage.read_short_segments >= 1
     assert got == b"s" * 1024 + b"t" * 100 + b"\x00" * 924
+
+
+def test_concurrent_reads_never_wait_on_each_others_chunk_fetches(monkeypatch):
+    """Chunk fetches are not throttled across the tier: with well over
+    16 fetches in flight from several clients, every read's first chunk
+    fetch reaches its OSD before any chunk fetch has finished."""
+    cluster = RadosCluster(num_hosts=4, osds_per_host=2, pg_num=32)
+    config = DedupConfig(chunk_size=1024, cache_on_flush=False, chunk_cache_bytes=0)
+    storage = DedupedStorage(cluster, config, start_engine=False)
+    tier = storage.tier
+    readers = [f"obj{r}" for r in range(6)]
+    for r, oid in enumerate(readers):
+        storage.write_sync(oid, b"".join(bytes([r, c]) * 512 for c in range(8)))
+    storage.drain()
+    chunks = {}
+    for oid in readers:
+        storage.read_sync(oid)  # warms the map cache: no disk before fetches
+        cmap = cluster.run(tier.load_chunk_map(oid))
+        chunks[oid] = {entry.chunk_id for entry in cmap}
+    assert sum(len(ids) for ids in chunks.values()) > 16
+
+    entered, finished = {}, []
+    original = OSD.execute_read
+
+    def traced(self, key, offset=0, length=None):
+        if key.pool_id == tier.chunk_pool.pool_id:
+            entered.setdefault(key.name, storage.sim.now)
+        data = yield from original(self, key, offset, length)
+        if key.pool_id == tier.chunk_pool.pool_id:
+            finished.append(storage.sim.now)
+        return data
+
+    monkeypatch.setattr(OSD, "execute_read", traced)
+
+    def read_all():
+        procs = [
+            storage.sim.process(storage.read(oid, client=storage.client(f"c{i}")))
+            for i, oid in enumerate(readers)
+        ]
+        yield storage.sim.all_of(procs)
+
+    cluster.run(read_all())
+    first_finish = min(finished)
+    for oid in readers:
+        assert min(entered[cid] for cid in chunks[oid]) < first_finish, oid

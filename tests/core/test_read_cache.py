@@ -195,16 +195,15 @@ def test_repair_listener_witnesses_cache_clear():
     assert storage.read_sync("obj1") == b"w" * 2 * CHUNK
 
 
-def test_unbatched_read_config_bypasses_every_layer():
-    storage = make_storage(
-        chunk_cache_bytes=0, read_fanout_window=0, coalesce_reads=False
-    )
+def test_zero_byte_chunk_cache_is_bypassed():
+    storage = make_storage(chunk_cache_bytes=0)
     payload = b"u" * 4 * CHUNK
     prime(storage, "obj1", payload)
     stage = storage.tier.stage
-    assert storage.tier.read_window is None
     assert not storage.tier.chunk_data_cache.enabled
+    assert len(storage.tier.chunk_data_cache) == 0
     assert stage.chunk_cache_hits == stage.chunk_cache_misses == 0
     assert stage.chunk_cache_admissions == 0
-    assert stage.fanout_batches == 0
+    # Every read still fetches all four chunks, as one batch.
+    assert stage.fanout_chunk_reads == stage.fanout_batched_chunks > 0
     assert storage.read_sync("obj1") == payload

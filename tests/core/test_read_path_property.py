@@ -1,10 +1,10 @@
-"""Property tests for the read-path engine (fan-out + coalescing +
-chunk data cache).
+"""Property tests for the read-path engine (batched fan-out + chunk
+data cache).
 
 For ANY random mix of overwrites, drains, and (offset, length) reads,
-a storage with all three read-path layers enabled must return exactly
-the bytes a layer-free sequential storage returns — which are exactly
-the bytes a plain shadow buffer predicts.  A second property drives
+a storage with the chunk data cache enabled must return exactly the
+bytes a cache-free storage returns — which are exactly the bytes a
+plain shadow buffer predicts.  A second property drives
 the enabled storage through seeded EIO/slow-disk fault plans: the
 internal read retries must neither tear segments nor double-count
 chunk-cache lookups.
@@ -27,9 +27,9 @@ CHUNK = 16 * KiB
 OBJECT_SIZE = 4 * CHUNK
 OBJECTS = 3
 
-#: Read-path layers off: no data cache, strictly sequential fetches,
-#: no coalescing (mirrors the perf harness's UNBATCHED read overrides).
-DISABLED = dict(chunk_cache_bytes=0, read_fanout_window=0, coalesce_reads=False)
+#: The chunk data cache off (mirrors the perf harness's UNBATCHED read
+#: overrides).
+DISABLED = dict(chunk_cache_bytes=0)
 
 
 def build_storage(enabled: bool, **extra) -> DedupedStorage:
