@@ -85,9 +85,9 @@ def _read_cached_piece(tier, oid, offset, length, client, span=NULL_SPAN):
 
 
 def _read_chunk_piece(tier, chunk_id, offset, length, client, span=NULL_SPAN):
-    """Process: redirected read — metadata pool forwards to the chunk
-    pool; chunk primary reads (and decompresses, when the tier stores
-    chunks compressed) and returns the data to the client."""
+    """Process: redirected read of one chunk on a compressed chunk pool —
+    metadata pool forwards to the chunk pool; chunk primary reads and
+    decompresses the whole chunk and returns the data to the client."""
     cluster = tier.cluster
     client = client or cluster._default_client
 
