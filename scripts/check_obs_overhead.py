@@ -30,7 +30,7 @@ import sys
 UNTRACED_WORKLOADS = {"pipeline-chunk-fingerprint"}
 
 
-def measure_overhead(workers: int, repeats: int) -> dict:
+def measure_overhead(repeats: int) -> dict:
     """Interleaved best-of traced/untraced dedup rates per sim workload."""
     from repro.perf.harness import WORKLOADS
 
@@ -40,10 +40,10 @@ def measure_overhead(workers: int, repeats: int) -> dict:
             continue
         best_traced = best_untraced = None
         for _ in range(repeats):
-            t = runner("batched", dict(fingerprint_workers=workers), 0, True, True)
+            t = runner("batched", {}, 0, True, True)
             if best_traced is None or t.dedup_wall_seconds < best_traced.dedup_wall_seconds:
                 best_traced = t
-            u = runner("batched", dict(fingerprint_workers=workers), 0, True, False)
+            u = runner("batched", {}, 0, True, False)
             if best_untraced is None or u.dedup_wall_seconds < best_untraced.dedup_wall_seconds:
                 best_untraced = u
         control_rate = best_untraced.dedup_ops_per_sec
@@ -86,13 +86,6 @@ def main(argv=None) -> int:
         "(default: %(default)s; empty string skips)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        help="fingerprint workers, matching the perf-smoke invocation "
-        "(default: %(default)s)",
-    )
-    parser.add_argument(
         "--repeats",
         type=int,
         default=7,
@@ -110,7 +103,7 @@ def main(argv=None) -> int:
     from repro.perf.harness import compare_to_baseline, run_perf
 
     print("measuring tracing overhead (interleaved traced/untraced) ...")
-    overhead = measure_overhead(args.workers, args.repeats)
+    overhead = measure_overhead(args.repeats)
     failures = []
     for name, entry in overhead.items():
         print(
@@ -131,9 +124,7 @@ def main(argv=None) -> int:
             failures.append(f"{name}: traced run recorded no span rollup")
 
     print("running traced perf report for the baseline gate ...")
-    traced = run_perf(
-        fast=True, workers=args.workers, repeats=args.repeats, trace=True
-    )
+    traced = run_perf(fast=True, repeats=args.repeats, trace=True)
     if not traced["summary"]["all_verified"]:
         failures.append("traced run failed verification")
 

@@ -116,7 +116,7 @@ done
 # min_read_speedup (the chunk data cache over the batched fan-out), and
 # the >60% re-read chunk-cache hit rate.
 step "perf-smoke: harness vs committed baseline" \
-    env PYTHONPATH=src python -m repro perf --fast --workers 4 \
+    env PYTHONPATH=src python -m repro perf --fast \
     --out BENCH_perf.json \
     --profile BENCH_perf_profile.json \
     --baseline benchmarks/baselines/perf_baseline.json

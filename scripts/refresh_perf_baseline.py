@@ -44,15 +44,6 @@ def main(argv=None) -> int:
         ),
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        help=(
-            "fingerprint workers for the run (default: %(default)s, "
-            "matching the perf-smoke gate invocation)"
-        ),
-    )
-    parser.add_argument(
         "--from-artifact",
         default=None,
         metavar="PATH",
@@ -87,16 +78,13 @@ def main(argv=None) -> int:
             return 2
         recorded_with = (
             f"artifact {args.from_artifact} (seed {report.get('seed')},"
-            f" fast={report.get('fast')}, workers {report.get('workers')},"
-            " schema 1)"
+            f" fast={report.get('fast')}, schema 1)"
         )
     else:
-        report = run_perf(fast=True, workers=args.workers)
+        report = run_perf(fast=True)
         for line in render_report(report):
             print(line)
-        recorded_with = (
-            f"repro perf --fast --workers {args.workers} (seed 0, schema 1)"
-        )
+        recorded_with = "repro perf --fast (seed 0, schema 1)"
     if not report["summary"]["all_verified"]:
         print("refusing to write baseline: verification failed", file=sys.stderr)
         return 1

@@ -204,7 +204,6 @@ def _cmd_perf(args) -> int:
     report = harness.run_perf(
         fast=True if args.fast else None,
         seed=args.seed,
-        workers=args.workers,
         trace=args.trace,
     )
     if args.profile:
@@ -219,7 +218,6 @@ def _cmd_perf(args) -> int:
             fast=True if args.fast else None,
             seed=args.seed,
             repeats=1,
-            workers=args.workers,
         )
         profiler.disable()
         from .perf.profile import profile_to_dict, write_profile
@@ -475,14 +473,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--fast",
         action="store_true",
         help="small workloads (also via REPRO_BENCH_FAST=1)",
-    )
-    perf.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="fingerprint pool threads for the dedup pipeline "
-        "(default: os.cpu_count(); 1 = serial inline hashing)",
     )
     perf.add_argument(
         "--trace",

@@ -126,11 +126,6 @@ class DedupConfig:
     #: Background dedup thread count (paper §3.2: "background
     #: deduplication threads periodically conduct a deduplication job").
     engine_workers: int = 8
-    #: Host threads hashing chunk digests in parallel during a flush
-    #: pass (``repro.fingerprint.FingerprintPool``; hashlib releases the
-    #: GIL so this is real wall-clock parallelism).  ``None`` resolves
-    #: to ``os.cpu_count()``; ``1`` hashes inline with no thread pool.
-    fingerprint_workers: Optional[int] = None
 
     #: Retry/backoff plumbing (see ``repro.faults.retry``): transient
     #: substrate errors (injected EIO, partitions, degraded PGs) are
@@ -176,11 +171,6 @@ class DedupConfig:
             raise ValueError("hit_count_threshold must be >= 1")
         if self.engine_workers < 1:
             raise ValueError("engine_workers must be >= 1")
-        if self.fingerprint_workers is not None and self.fingerprint_workers < 1:
-            raise ValueError(
-                f"fingerprint_workers must be >= 1 (or None for cpu_count), "
-                f"got {self.fingerprint_workers}"
-            )
         if self.cache_policy not in ("lru", "lfu", "fifo"):
             raise ValueError(
                 f"cache_policy must be 'lru', 'lfu' or 'fifo', "

@@ -2,7 +2,7 @@
 
 from .fingerprint import FINGERPRINT_ALGORITHMS, fingerprint, fingerprint_size
 from .index import FingerprintIndex, IndexStats
-from .pool import FingerprintHandle, FingerprintPool, PoolStats
+from .pool import FingerprintPool, PoolStats
 
 __all__ = [
     "fingerprint",
@@ -10,7 +10,6 @@ __all__ = [
     "FINGERPRINT_ALGORITHMS",
     "FingerprintIndex",
     "IndexStats",
-    "FingerprintHandle",
     "FingerprintPool",
     "PoolStats",
 ]

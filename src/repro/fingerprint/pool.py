@@ -1,29 +1,17 @@
-"""Parallel chunk fingerprinting: the dedup pipeline's hash stage.
+"""Chunk fingerprinting: the dedup pipeline's hash stage.
 
-CPython's hashlib releases the GIL while digesting buffers larger than
-~2 KiB, so fanning chunk digests out over a thread pool is a real
-wall-clock speedup on multi-core hosts.  :class:`FingerprintPool` wraps
-a :class:`concurrent.futures.ThreadPoolExecutor` behind an
-*ordered-result* API: callers submit payloads and later collect each
-digest through its own :class:`FingerprintHandle`, consuming results in
-submission order.  Nothing about the digests themselves depends on
-scheduling — ordering is a determinism contract for the caller
-(:class:`repro.core.engine.DedupEngine` applies reference-count updates
-in submission order so batched and sequential flushes stay equivalent,
-the invariant the ``repro lint`` DET rules and the batched==sequential
-Hypothesis properties pin down).
+:meth:`FingerprintPool.submit_many` digests a batch of chunk payloads on
+the calling thread, in order, and returns the hex digests.  The engine
+applies reference-count updates in that order, so batched and
+sequential flushes stay equivalent (the invariant the ``repro lint``
+DET rules and the batched==sequential Hypothesis properties pin down).
 
-Batch submissions are *sharded*: :meth:`FingerprintPool.submit_many`
-splits the payload list into at most ``workers`` contiguous slices and
-dispatches one executor task per slice, so the per-task hand-off cost
-(future + queue + wakeup, easily dwarfing a single small digest) is
-paid per shard, not per chunk.  Each payload still gets its own handle
-and its own per-digest timing.
-
-With ``workers=1`` the pool degrades to synchronous inline hashing —
-no executor, no thread hand-off — which is also the engine-facing
-behaviour on single-core machines (``workers=None`` resolves to
-``os.cpu_count()``).
+Hashing runs inline because it is not where the host time goes: on the
+``pipeline-chunk-fingerprint`` perf workload the CDC boundary scan
+dominates and hashing is about 2% of the wall time, and a thread pool
+here measured below 1× parallelism (busy/wall) on every simulated
+workload.  Inline hashing also keeps the deterministic simulator free of
+threads.  See ``docs/performance.md``.
 
 Timing note: the pool measures host wall-clock per digest for the perf
 stage counters.  That is fine *here* — ``repro.fingerprint`` is outside
@@ -33,218 +21,61 @@ simulated state.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional
 
 from ..obs import NULL_SPAN, Span
 from .fingerprint import fingerprint
 
-__all__ = ["FingerprintHandle", "FingerprintPool", "PoolStats"]
-
-_ShardResult = List[Tuple[str, float]]
-
-
-def _digest_shard(payloads: List[bytes], algorithm: str) -> _ShardResult:
-    out: _ShardResult = []
-    for data in payloads:
-        started = perf_counter()
-        digest = fingerprint(data, algorithm)
-        out.append((digest, perf_counter() - started))
-    return out
+__all__ = ["FingerprintPool", "PoolStats"]
 
 
 @dataclass
 class PoolStats:
     """Counters for the perf harness (mirrored into ``StageCounters``)."""
 
-    #: Digests submitted over the pool's lifetime.
+    #: Digests computed over the pool's lifetime.
     tasks: int = 0
-    #: Busy spans: maximal periods with at least one digest outstanding.
-    spans: int = 0
-    #: Sum of per-digest hashing time (across all worker threads).
+    #: Sum of per-digest hashing time.
     busy_seconds: float = 0.0
-    #: Wall-clock covered by busy spans; ``busy_seconds / wall_seconds``
-    #: estimates the achieved hashing parallelism.
+    #: Wall-clock spent inside :meth:`FingerprintPool.submit_many`;
+    #: ``busy_seconds / wall_seconds`` is the hashing share of that call.
     wall_seconds: float = 0.0
 
 
-class FingerprintHandle:
-    """One pending digest; :meth:`result` is idempotent."""
-
-    __slots__ = ("_pool", "_key", "_future", "_index", "_digest", "_seconds")
-
-    def __init__(
-        self,
-        pool: "FingerprintPool",
-        key: int,
-        future: Optional["Future[_ShardResult]"],
-        index: int = 0,
-        digest: Optional[str] = None,
-        seconds: float = 0.0,
-    ) -> None:
-        self._pool = pool
-        self._key = key
-        self._future = future  # shared by every handle in the shard
-        self._index = index  # this payload's slot in the shard result
-        self._digest = digest
-        self._seconds = seconds
-
-    @property
-    def done(self) -> bool:
-        return self._digest is not None
-
-    @property
-    def seconds(self) -> float:
-        """Hashing wall time for this digest (valid once resolved)."""
-        return self._seconds
-
-    def result(self) -> str:
-        """Block for and return the hex digest.
-
-        On failure the handle is still settled (removed from the pool's
-        outstanding set) before the exception propagates, so an aborted
-        pipeline pass cannot strand payload references in the pool.
-        """
-        if self._digest is None:
-            future = self._future
-            if future is None:
-                raise RuntimeError("fingerprint task already failed")
-            self._future = None
-            try:
-                digest, seconds = future.result()[self._index]
-            except BaseException:
-                self._pool._settle(self._key, 0.0)
-                raise
-            self._digest = digest
-            self._seconds = seconds
-            self._pool._settle(self._key, seconds)
-        return self._digest
-
-
 class FingerprintPool:
-    """Ordered-result, shard-dispatched thread pool for chunk digests.
+    """Ordered chunk hashing on the calling thread, with timing stats."""
 
-    ``workers=None`` resolves to ``os.cpu_count()``; ``workers=1`` runs
-    every digest inline at submit time (no executor is ever created).
-    The executor is lazy: threads start on the first parallel submit,
-    not at construction.
-    """
+    #: Hashing threads: always the caller's own.
+    workers = 1
 
-    def __init__(self, workers: Optional[int] = None, algorithm: str = "sha1") -> None:
-        resolved = workers if workers is not None else (os.cpu_count() or 1)
-        if resolved < 1:
-            raise ValueError(f"workers must be >= 1, got {resolved}")
-        self.workers = resolved
+    def __init__(self, algorithm: str = "sha1") -> None:
         self.algorithm = algorithm
         self.stats = PoolStats()
-        self._executor: Optional[ThreadPoolExecutor] = None
-        # Insertion-ordered (dict, not set — DET003): key -> handle, in
-        # submission order, so quiesce() consumes deterministically.
-        self._pending: Dict[int, FingerprintHandle] = {}
-        self._serial = 0
-        self._span_started: Optional[float] = None
-
-    @property
-    def parallel(self) -> bool:
-        return self.workers > 1
-
-    @property
-    def outstanding(self) -> int:
-        """Submitted digests not yet consumed via ``result()``."""
-        return len(self._pending)
-
-    def submit(self, data: bytes, algorithm: Optional[str] = None) -> FingerprintHandle:
-        """Queue one payload for digestion; returns its handle."""
-        return self.submit_many([data], algorithm)[0]
 
     def submit_many(
         self,
         payloads: Iterable[bytes],
         algorithm: Optional[str] = None,
         span: Span = NULL_SPAN,
-    ) -> List[FingerprintHandle]:
-        """Fan a batch of payloads out across the pool, sharded.
+    ) -> List[str]:
+        """Digest ``payloads`` in order; returns one hex digest each.
 
-        Returns one handle per payload, in the given order.  At most
-        ``workers`` executor tasks are dispatched: contiguous slices of
-        the batch, so hand-off overhead is amortised over the shard.
-
-        ``span`` (a ``repro.obs`` span) is tagged with the dispatch
-        shape — task, shard, and worker counts.
+        ``span`` (a ``repro.obs`` span) is tagged with the digest count.
         """
-        items = [bytes(p) for p in payloads]
         algo = algorithm if algorithm is not None else self.algorithm
-        if not items:
-            return []
-        self.stats.tasks += len(items)
-        if self._span_started is None:
-            self._span_started = perf_counter()
-        if not self.parallel:
-            span.tag(fp_tasks=len(items), fp_shards=0, fp_workers=1)
-            handles = []
-            for data in items:
-                self._serial += 1
-                key = self._serial
-                (digest, seconds), = _digest_shard([data], algo)
-                handle = FingerprintHandle(
-                    self, key, None, digest=digest, seconds=seconds
-                )
-                self._settle(key, seconds)
-                handles.append(handle)
-            return handles
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="repro-fp"
-            )
-        nshards = min(self.workers, len(items))
-        span.tag(fp_tasks=len(items), fp_shards=nshards, fp_workers=self.workers)
-        per_shard = -(-len(items) // nshards)  # ceil division
-        handles = []
-        for lo in range(0, len(items), per_shard):
-            shard = items[lo : lo + per_shard]
-            future = self._executor.submit(_digest_shard, shard, algo)
-            for index in range(len(shard)):
-                self._serial += 1
-                key = self._serial
-                handle = FingerprintHandle(self, key, future, index=index)
-                self._pending[key] = handle
-                handles.append(handle)
-        return handles
-
-    def _settle(self, key: int, seconds: float) -> None:
-        self._pending.pop(key, None)
-        self.stats.busy_seconds += seconds
-        if not self._pending and self._span_started is not None:
-            self.stats.wall_seconds += perf_counter() - self._span_started
-            self.stats.spans += 1
-            self._span_started = None
-
-    def quiesce(self) -> int:
-        """Consume every outstanding result, in submission order.
-
-        Digest errors are swallowed — they belong to whoever submitted
-        the task; quiesce only guarantees nothing stays in flight (the
-        engine calls this from ``drain()`` before GC so no chunk payload
-        is still referenced by a worker thread).  Returns the number of
-        handles settled.
-        """
-        settled = 0
-        while self._pending:
-            key = next(iter(self._pending))
-            handle = self._pending[key]
-            try:
-                handle.result()
-            except Exception:
-                pass
-            settled += 1
-        return settled
+        stats = self.stats
+        started = perf_counter()
+        digests = []
+        for data in payloads:
+            t0 = perf_counter()
+            digests.append(fingerprint(data, algo))
+            stats.busy_seconds += perf_counter() - t0
+        stats.tasks += len(digests)
+        stats.wall_seconds += perf_counter() - started
+        span.tag(fp_tasks=len(digests))
+        return digests
 
     def shutdown(self) -> None:
-        """Quiesce and release the worker threads (idempotent)."""
-        self.quiesce()
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
+        """No-op: the pool holds no threads or other resources."""

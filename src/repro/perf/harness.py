@@ -6,8 +6,8 @@ negative Bloom filter: the per-op baseline) and once with them on — and
 measures real host time, simulated time, and the per-stage counters
 (:class:`~repro.perf.stages.StageCounters`) for each.  A third,
 simulator-free ``pipeline-chunk-fingerprint`` workload isolates the
-chunk → fingerprint pipeline itself: reference boundary scan + serial
-hashing vs the NumPy-vectorized scan + ``FingerprintPool`` fan-out.
+chunk → fingerprint pipeline itself: reference boundary scan vs the
+NumPy-vectorized scan, both followed by the same inline hashing.
 The ``read-sequential-deduped`` workload (and a timed read phase on
 ``fio-small-random``) isolates the read path: the batched parallel
 fetch with no chunk data cache (what shipped before the cache) vs the
@@ -378,11 +378,9 @@ def _run_pipeline_mode(
     """Chunk → fingerprint pipeline in isolation (no simulator, so
     ``trace`` is accepted but has nothing to record).
 
-    Measures the two stages this PR vectorizes/parallelises on a seeded
-    content stream: ``unbatched`` is the pre-optimisation path (pure-
-    Python reference boundary scan, serial inline hashing) and
-    ``batched`` is the optimised one (NumPy-vectorized scan when
-    available, digest fan-out over the configured ``fingerprint_workers``).
+    Measures both stages on a seeded content stream: ``unbatched`` runs
+    the pure-Python reference boundary scan and ``batched`` the
+    NumPy-vectorized scan when available; both hash inline.
     Verification doubles as an end-to-end equivalence check: both modes
     must produce identical (offset, length, digest) streams, which is
     exactly the byte-identical-boundaries invariant.
@@ -390,18 +388,12 @@ def _run_pipeline_mode(
     total = (4 if fast else 16) * MiB
     gen = ContentGenerator(seed=seed, dedupe_ratio=0.5)
     data = b"".join(gen.block(64 * KiB) for _ in range(total // (64 * KiB)))
-    optimised = mode == "batched"
-    chunker = GearChunker(
-        avg_size=8 * KiB, vectorized=(HAVE_NUMPY if optimised else False)
-    )
-    workers = overrides.get("fingerprint_workers") if optimised else 1
-    pool = FingerprintPool(workers=workers)
+    chunker = GearChunker(avg_size=8 * KiB, vectorized=HAVE_NUMPY and mode == "batched")
+    pool = FingerprintPool()
     started = perf_counter()
     spans = chunker.chunk(data)
-    handles = pool.submit_many(span.as_bytes() for span in spans)
-    digests = [handle.result() for handle in handles]
+    digests = pool.submit_many(span.as_bytes() for span in spans)
     wall = perf_counter() - started
-    pool.shutdown()
     validate_chunking(data, spans)
     readback = hashlib.sha1()
     for span, digest in zip(spans, digests):
@@ -412,9 +404,6 @@ def _run_pipeline_mode(
         fingerprint_ops=len(spans),
         fingerprint_bytes=total,
         fingerprint_seconds=pool.stats.busy_seconds,
-        fingerprint_workers=pool.workers,
-        fingerprint_pool_tasks=pool.stats.tasks,
-        fingerprint_pool_spans=pool.stats.spans,
         fingerprint_pool_busy_seconds=pool.stats.busy_seconds,
         fingerprint_pool_wall_seconds=pool.stats.wall_seconds,
     )
@@ -568,7 +557,6 @@ def run_perf(
     fast: Optional[bool] = None,
     seed: int = 0,
     repeats: int = 5,
-    workers: Optional[int] = None,
     trace: bool = False,
 ) -> dict:
     """Run every workload in both modes; returns the report dict.
@@ -580,39 +568,22 @@ def run_perf(
     down — the minimum is the least-noise estimate of the host cost,
     and interleaving keeps slow drift from biasing one mode.
 
-    ``workers`` sizes the engine's fingerprint pool (default
-    ``os.cpu_count()``).  It applies to *both* modes of the simulated
-    workloads — hashing parallelism is orthogonal to the optimisations
-    those pairs isolate, and keeping it symmetric keeps their speedup
-    ratio comparable across machines with different core counts.  The
-    ``pipeline-chunk-fingerprint`` workload is the one that contrasts
-    it: serial reference scan vs vectorized scan + ``workers`` threads.
-
     ``trace`` runs the simulated workloads with op tracing enabled
     (``DedupConfig.trace_ops``), attaching a per-stage span rollup to
     each ``ModeResult`` — this is the leg the obs-overhead CI gate
     measures against the untraced baseline.
     """
     fast = FAST if fast is None else fast
-    resolved_workers = workers if workers is not None else (os.cpu_count() or 1)
     score = machine_score()
     workloads: List[WorkloadResult] = []
     for name, runner in WORKLOADS.items():
         unbatched: Optional[ModeResult] = None
         batched: Optional[ModeResult] = None
         for _ in range(repeats):
-            u = runner(
-                "unbatched",
-                dict(UNBATCHED, fingerprint_workers=resolved_workers),
-                seed,
-                fast,
-                trace,
-            )
+            u = runner("unbatched", UNBATCHED, seed, fast, trace)
             if unbatched is None or u.dedup_wall_seconds < unbatched.dedup_wall_seconds:
                 unbatched = u
-            b = runner(
-                "batched", dict(fingerprint_workers=resolved_workers), seed, fast, trace
-            )
+            b = runner("batched", {}, seed, fast, trace)
             if batched is None or b.dedup_wall_seconds < batched.dedup_wall_seconds:
                 batched = b
         workloads.append(WorkloadResult(name, unbatched, batched))
@@ -639,7 +610,6 @@ def run_perf(
         "fast": fast,
         "seed": seed,
         "trace": trace,
-        "workers": resolved_workers,
         "machine_score": score,
         "workloads": {w.name: w.to_dict() for w in workloads},
         "summary": {
@@ -744,7 +714,6 @@ def render_report(report: dict) -> List[str]:
     """Human-readable summary lines for the CLI."""
     lines = [
         f"perf harness (fast={report['fast']}, seed={report['seed']}, "
-        f"workers={report.get('workers', 1)}, "
         f"machine score {report['machine_score']:.0f})"
     ]
     for name, w in report["workloads"].items():
@@ -784,15 +753,6 @@ def render_report(report: dict) -> List[str]:
                 f"/{st_b.get('map_entries_total', 0)} "
                 f"({st_b.get('map_bytes_serialized', 0)} B vs "
                 f"{_whole_map_bytes(st_b)} B whole-map)"
-            )
-        pool_tasks = st_b.get("fingerprint_pool_tasks", 0)
-        if pool_tasks:
-            busy = st_b.get("fingerprint_pool_busy_seconds", 0.0)
-            pool_wall = st_b.get("fingerprint_pool_wall_seconds", 0.0)
-            parallelism = busy / pool_wall if pool_wall else 0.0
-            lines.append(
-                f"    fingerprint pool: {st_b.get('fingerprint_workers', 1)} workers, "
-                f"{pool_tasks} digests, parallelism {parallelism:.2f}x"
             )
         v = w["verify"]
         lines.append(

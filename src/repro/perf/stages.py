@@ -40,12 +40,8 @@ class StageCounters:
     #: Wall-clock seconds inside the hash call (synchronous, so this is
     #: real host time, not simulated time).
     fingerprint_seconds: float = 0.0
-    #: Digest-pool parallelism (see ``repro.fingerprint.FingerprintPool``):
-    #: configured worker threads, digests fanned out, busy spans, and the
-    #: busy/wall second pair whose ratio estimates achieved parallelism.
-    fingerprint_workers: int = 0
-    fingerprint_pool_tasks: int = 0
-    fingerprint_pool_spans: int = 0
+    #: Hashing time and the wall time of the batched hash calls around
+    #: it (see ``repro.fingerprint.FingerprintPool``).
     fingerprint_pool_busy_seconds: float = 0.0
     fingerprint_pool_wall_seconds: float = 0.0
 

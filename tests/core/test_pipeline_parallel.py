@@ -1,11 +1,11 @@
-"""Engine flush pipeline with a parallel fingerprint stage.
+"""Engine flush pipeline: assemble -> hash -> ordered, batched commit.
 
-The flush pipeline is chunk -> sharded fingerprint fan-out -> ordered
-gather -> per-PG batched commit.  These tests pin the determinism
-contract (``fingerprint_workers > 1`` is observationally identical to
-serial hashing, including under injected faults) and the drain/abort
-hygiene (no FingerprintPool future may outlive the pass that staged it).
+These tests pin the pass's fault hygiene (an aborted pass undoes what it
+committed, and a flush under injected faults converges to the same state
+as a fault-free one) and that hashing stays on the simulator's thread.
 """
+
+import threading
 
 import pytest
 
@@ -16,13 +16,8 @@ from repro.faults.errors import TransientOpError
 from repro.fingerprint import fingerprint
 
 
-def make_storage(fingerprint_workers=1, **config_overrides):
-    defaults = dict(
-        chunk_size=1024,
-        dedup_interval=0.01,
-        hitset_period=0.5,
-        fingerprint_workers=fingerprint_workers,
-    )
+def make_storage(**config_overrides):
+    defaults = dict(chunk_size=1024, dedup_interval=0.01, hitset_period=0.5)
     defaults.update(config_overrides)
     cluster = RadosCluster(num_hosts=4, osds_per_host=2, pg_num=32)
     return DedupedStorage(cluster, DedupConfig(**defaults), start_engine=False)
@@ -45,58 +40,42 @@ def flush_all(storage, objects):
     storage.drain()
 
 
-def assert_equivalent(parallel, serial, objects):
+def assert_equivalent(storage, reference, objects):
     fps = {fingerprint(data) for data in objects.values()}
     for fp in fps:
-        assert parallel.tier.chunk_refcount(fp) == serial.tier.chunk_refcount(fp)
-    assert parallel.space_report() == serial.space_report()
+        assert storage.tier.chunk_refcount(fp) == reference.tier.chunk_refcount(fp)
+    assert storage.space_report() == reference.space_report()
     for oid, data in objects.items():
-        assert parallel.read_sync(oid) == data
-    assert scrub_sync(parallel.tier).clean
+        assert storage.read_sync(oid) == data
+    assert scrub_sync(storage.tier).clean
 
 
-def test_parallel_fingerprint_matches_serial():
-    objects = build_objects(
-        [(0, 1, 2, 3), (0, 1), (2, 3, 4), (4, 4, 0), (1, 2, 3, 4)]
+def test_default_drain_starts_no_fingerprint_threads():
+    """Chunks are hashed inline: a drain adds no hashing thread."""
+    storage = DedupedStorage(
+        RadosCluster(num_hosts=4, osds_per_host=2, pg_num=32),
+        DedupConfig(),
+        start_engine=False,
     )
-    parallel = make_storage(fingerprint_workers=4)
-    serial = make_storage(fingerprint_workers=1)
-    assert parallel.engine.fingerprint_pool.parallel
-    assert not serial.engine.fingerprint_pool.parallel
-    flush_all(parallel, objects)
-    flush_all(serial, objects)
-    assert_equivalent(parallel, serial, objects)
-    # The parallel side actually routed digests through the pool.
-    assert parallel.engine.fingerprint_pool.stats.tasks > 0
-    assert parallel.tier.stage.fingerprint_workers == 4
+    for i in range(4):
+        storage.write_sync(f"obj{i}", bytes([i]) * (256 * 1024))
+    storage.drain()
+    assert storage.tier.stage.fingerprint_ops > 0
+    assert not [t.name for t in threading.enumerate() if t.name.startswith("repro-fp")]
 
 
-def test_start_overrides_fingerprint_workers():
-    storage = make_storage(fingerprint_workers=1)
-    storage.engine.start(fingerprint_workers=3)
-    try:
-        assert storage.engine.fingerprint_pool.workers == 3
-    finally:
-        storage.engine.stop()
-        storage.engine.set_fingerprint_workers(None)
-    # Resetting drops back to the config value.
-    assert storage.engine.fingerprint_pool.workers == 1
-
-
-# -- abort hygiene: no future outlives its pass -----------------------------
+# -- abort hygiene ------------------------------------------------------------
 
 
 def test_aborted_pass_leaves_no_outstanding_futures(monkeypatch):
-    """A retryable fault mid-commit must settle every staged future.
+    """A retryable fault mid-commit leaves nothing of the pass behind.
 
     With ``batch_refs`` off the pass commits its refs in one-op slices;
     the fault hits the second slice, after the first committed.  The
-    abort path (``_abandon_staged``) has to settle every handle so the
-    pool holds no chunk payload from the dead pass, the committed slice
-    is undone, and the later drain converges to a clean scrub.
+    abort path has to undo the committed slice, and the later drain
+    converges to a clean scrub.
     """
     storage = make_storage(
-        fingerprint_workers=4,
         batch_refs=False,
         refset_cache_entries=0,
         chunk_bloom_capacity=0,
@@ -120,29 +99,17 @@ def test_aborted_pass_leaves_no_outstanding_futures(monkeypatch):
     result = storage.cluster.run(storage.engine.process_object("obj0", force=True))
     assert result == "faulted"
     assert calls["refs"] == 2  # the fault hit the second one-op slice
-    assert storage.engine.fingerprint_pool.outstanding == 0
     assert storage.engine.stats.objects_requeued_fault == 1
+    # The reference the first slice committed was released again.
+    assert tier.chunk_refcount(fingerprint(objects["obj0"][:1024])) == 0
 
     monkeypatch.setattr(tier, "commit_chunk_batch", real_commit)
     storage.drain()
-    assert storage.engine.fingerprint_pool.outstanding == 0
     assert storage.read_sync("obj0") == objects["obj0"]
     assert scrub_sync(tier).clean
 
 
-def test_drain_quiesces_orphaned_futures():
-    """drain() consumes futures nobody gathered before running GC."""
-    storage = make_storage(fingerprint_workers=4)
-    storage.write_sync("obj0", b"q" * 4096)
-    pool = storage.engine.fingerprint_pool
-    pool.submit_many([b"orphan-a" * 400, b"orphan-b" * 400])
-    assert pool.outstanding == 2
-    storage.drain()
-    assert pool.outstanding == 0
-    assert scrub_sync(storage.tier).clean
-
-
-# -- property: parallel+faults == serial, any workload ----------------------
+# -- property: flush under faults == fault-free flush, any workload ---------
 
 hypothesis = pytest.importorskip("hypothesis")
 
@@ -167,30 +134,30 @@ object_strategy = st.lists(
 )
 @given(pattern=object_strategy, fault_seed=st.integers(min_value=0, max_value=10_000))
 def test_parallel_flush_under_faults_equals_serial(pattern, fault_seed):
-    """Workers>1 plus a seeded FaultPlan changes nothing observable.
+    """A seeded FaultPlan changes nothing observable about a flush.
 
-    EIO windows and slow disks hit the parallel engine's cluster while a
-    pristine cluster flushes the same objects with inline hashing; the
-    skip-and-requeue abort path plus the ordered gather must converge to
-    the same chunk-pool state, space report, and readback.
+    EIO windows and slow disks hit one engine's cluster while a pristine
+    cluster flushes the same objects; the skip-and-requeue abort path
+    must converge to the same chunk-pool state, space report, and
+    readback.
     """
-    parallel = make_storage(fingerprint_workers=4)
+    faulted = make_storage()
     plan = FaultPlan.generate(
         seed=fault_seed,
         horizon=2.0,
-        osd_ids=list(parallel.cluster.osds),
+        osd_ids=list(faulted.cluster.osds),
         crash_rate=0.0,        # availability faults need recovery, not
         partition_rate=0.0,    # retry — out of scope for equivalence
         slow_rate=1.0,
         eio_rate=1.5,
     )
-    FaultInjector(parallel.cluster, plan, auto_recover=True).attach()
+    FaultInjector(faulted.cluster, plan, auto_recover=True).attach()
 
     objects = build_objects(pattern)
-    flush_all(parallel, objects)
-    parallel.sim.run()  # let remaining fault windows expire
-    parallel.drain()    # flush anything requeued by a faulted pass
+    flush_all(faulted, objects)
+    faulted.sim.run()  # let remaining fault windows expire
+    faulted.drain()    # flush anything requeued by a faulted pass
 
-    serial = make_storage(fingerprint_workers=1)
-    flush_all(serial, objects)
-    assert_equivalent(parallel, serial, objects)
+    reference = make_storage()
+    flush_all(reference, objects)
+    assert_equivalent(faulted, reference, objects)

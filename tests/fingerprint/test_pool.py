@@ -1,154 +1,56 @@
-"""FingerprintPool: ordered results, sharding, quiesce, and stats."""
+"""FingerprintPool: ordered inline hashing and stats."""
 
 import hashlib
 
-import pytest
-
 from repro.fingerprint import FingerprintPool, fingerprint
-from repro.fingerprint.pool import _digest_shard
 
 
 def payloads(n, size=3000):
-    # > ~2 KiB so hashlib releases the GIL on the parallel path.
     return [bytes([i % 256]) * size for i in range(n)]
 
 
 def test_results_match_serial_hashing():
     data = payloads(23)
-    pool = FingerprintPool(workers=4)
-    handles = pool.submit_many(data)
-    digests = [h.result() for h in handles]
-    assert digests == [hashlib.sha1(d).hexdigest() for d in data]
-    pool.shutdown()
+    pool = FingerprintPool()
+    assert pool.submit_many(data) == [hashlib.sha1(d).hexdigest() for d in data]
 
 
 def test_results_ordered_per_submission():
-    """Handles come back in submission order regardless of scheduling."""
+    """Digests come back in submission order, batch after batch."""
     data = payloads(40, size=100)
-    pool = FingerprintPool(workers=8)
-    try:
-        for _ in range(3):  # repeated batches reuse the executor
-            handles = pool.submit_many(data)
-            assert [h.result() for h in handles] == [fingerprint(d) for d in data]
-    finally:
-        pool.shutdown()
+    pool = FingerprintPool()
+    for _ in range(3):
+        assert pool.submit_many(data) == [fingerprint(d) for d in data]
 
 
 def test_inline_when_workers_is_one():
-    pool = FingerprintPool(workers=1)
-    assert not pool.parallel
-    handle = pool.submit(b"abc")
-    # Inline submission resolves immediately: no executor, nothing pending.
-    assert handle.done
-    assert pool.outstanding == 0
-    assert pool._executor is None
-    assert handle.result() == hashlib.sha1(b"abc").hexdigest()
-    pool.shutdown()
-    assert pool._executor is None
-
-
-def test_submit_many_shards_at_most_workers_tasks():
-    pool = FingerprintPool(workers=3)
-    try:
-        handles = pool.submit_many(payloads(10, size=10))
-        # 10 payloads over 3 workers -> ceil(10/3)=4 per shard -> 3 shards.
-        futures = {h._future for h in handles}
-        assert len(futures) == 3
-        assert pool.outstanding == 10
-        assert len({h.result() for h in handles}) == 10
-        assert pool.outstanding == 0
-    finally:
-        pool.shutdown()
-
-
-def test_quiesce_drains_everything():
-    pool = FingerprintPool(workers=4)
-    try:
-        pool.submit_many(payloads(12))
-        assert pool.outstanding == 12
-        assert pool.quiesce() == 12
-        assert pool.outstanding == 0
-        assert pool.quiesce() == 0  # idempotent on an empty pool
-    finally:
-        pool.shutdown()
-
-
-def test_result_is_idempotent():
-    pool = FingerprintPool(workers=2)
-    try:
-        (handle,) = pool.submit_many([b"x" * 100])
-        first = handle.result()
-        assert handle.result() == first
-        assert handle.seconds >= 0.0
-    finally:
-        pool.shutdown()
+    """Hashing runs on the calling thread: no helper thread is started."""
+    pool = FingerprintPool()
+    assert pool.workers == 1
+    (digest,) = pool.submit_many(iter([b"abc"]))  # any iterable, even one-shot
+    assert digest == hashlib.sha1(b"abc").hexdigest()
+    pool.shutdown()  # a no-op kept for callers that release resources
 
 
 def test_stats_accounting():
-    pool = FingerprintPool(workers=2)
-    try:
-        for h in pool.submit_many(payloads(6)):
-            h.result()
-        assert pool.stats.tasks == 6
-        assert pool.stats.spans == 1
-        assert pool.stats.busy_seconds >= 0.0
-        assert pool.stats.wall_seconds > 0.0
-        for h in pool.submit_many(payloads(2)):
-            h.result()
-        assert pool.stats.tasks == 8
-        assert pool.stats.spans == 2
-    finally:
-        pool.shutdown()
-
-
-def test_error_settles_pending_before_raising(monkeypatch):
-    """A failing digest task must not strand handles in the pool."""
-    pool = FingerprintPool(workers=2)
-
-    def boom(payloads, algorithm):
-        raise RuntimeError("digest blew up")
-
-    monkeypatch.setattr("repro.fingerprint.pool._digest_shard", boom)
-    try:
-        handles = pool.submit_many(payloads(4))
-        assert pool.outstanding == 4
-        with pytest.raises(RuntimeError, match="digest blew up"):
-            handles[0].result()
-        # The failed handle is settled; a retry raises the sentinel error.
-        assert pool.outstanding == 3
-        with pytest.raises(RuntimeError, match="already failed"):
-            handles[0].result()
-        # quiesce swallows the remaining failures and empties the pool.
-        assert pool.quiesce() == 3
-        assert pool.outstanding == 0
-    finally:
-        monkeypatch.setattr("repro.fingerprint.pool._digest_shard", _digest_shard)
-        pool.shutdown()
-
-
-def test_shutdown_idempotent():
-    pool = FingerprintPool(workers=2)
-    pool.submit_many(payloads(3))
-    pool.shutdown()
-    assert pool.outstanding == 0
-    pool.shutdown()  # second call is a no-op
-
-
-def test_workers_validation():
-    with pytest.raises(ValueError):
-        FingerprintPool(workers=0)
-    assert FingerprintPool(workers=None).workers >= 1
+    pool = FingerprintPool()
+    pool.submit_many(payloads(6))
+    assert pool.stats.tasks == 6
+    assert pool.stats.busy_seconds > 0.0
+    assert pool.stats.wall_seconds >= pool.stats.busy_seconds
+    pool.submit_many(payloads(2))
+    assert pool.stats.tasks == 8
 
 
 def test_algorithm_override():
-    pool = FingerprintPool(workers=1, algorithm="sha1")
-    handle = pool.submit(b"payload", algorithm="sha256")
-    assert handle.result() == hashlib.sha256(b"payload").hexdigest()
-    pool.shutdown()
+    pool = FingerprintPool(algorithm="sha1")
+    assert pool.submit_many([b"payload"], algorithm="sha256") == [
+        hashlib.sha256(b"payload").hexdigest()
+    ]
+    assert pool.submit_many([b"payload"]) == [hashlib.sha1(b"payload").hexdigest()]
 
 
 def test_empty_batch():
-    pool = FingerprintPool(workers=4)
+    pool = FingerprintPool()
     assert pool.submit_many([]) == []
     assert pool.stats.tasks == 0
-    pool.shutdown()

@@ -198,8 +198,8 @@ def test_obs_report_rejects_an_empty_trace(tmp_path):
 def test_perf_harness_attaches_span_rollups_when_traced():
     from repro.perf.harness import _run_fio_mode
 
-    traced = _run_fio_mode("batched", {"fingerprint_workers": 1}, 0, True, True)
-    plain = _run_fio_mode("batched", {"fingerprint_workers": 1}, 0, True, False)
+    traced = _run_fio_mode("batched", {}, 0, True, True)
+    plain = _run_fio_mode("batched", {}, 0, True, False)
     assert traced.spans and not plain.spans
     assert any(stage.startswith("rados.") for stage in traced.spans)
     assert traced.spans["op.dedup_pass"]["count"] > 0
