@@ -224,7 +224,10 @@ def _cmd_perf(args) -> int:
 
         prof = profile_to_dict(profiler, top=args.profile_top)
         write_profile(prof, args.profile)
-        print(f"profile written to {args.profile} (top {args.profile_top} by cumtime)")
+        print(
+            f"profile written to {args.profile} "
+            f"(top {args.profile_top} by cumtime and by tottime)"
+        )
     for line in harness.render_report(report):
         print(line)
     if args.out:
@@ -504,7 +507,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         metavar="PATH",
         help="run under cProfile and write the top functions by "
-        "cumulative time as JSON here",
+        "cumulative time and by self time as JSON here",
     )
     perf.add_argument(
         "--profile-top",

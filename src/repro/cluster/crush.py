@@ -78,6 +78,9 @@ class CrushMap:
         self.cluster_map = cluster_map
         self._cache_epoch = -1
         self._cache: Dict[Tuple[int, int], List[int]] = {}
+        # (pool_id, pg) -> placement key; epoch-independent, so it is
+        # never cleared and is bounded by pools x pg_num.
+        self._pg_seeds: Dict[Tuple[int, int], int] = {}
 
     def _invalidate_if_stale(self) -> None:
         if self._cache_epoch != self.cluster_map.epoch:
@@ -172,7 +175,11 @@ class CrushMap:
 
     def pg_seed(self, pool_id: int, pg: int) -> int:
         """The placement key for a placement group."""
-        return stable_hash64("pg", pool_id, pg)
+        seed = self._pg_seeds.get((pool_id, pg))
+        if seed is None:
+            seed = stable_hash64("pg", pool_id, pg)
+            self._pg_seeds[(pool_id, pg)] = seed
+        return seed
 
     def map_pg(
         self, pool_id: int, pg: int, n: int, failure_domain: str = "host"

@@ -10,7 +10,7 @@ two are built from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .crush import CrushMap, stable_hash64
 from .ec import ReedSolomon
@@ -91,6 +91,10 @@ class Pool:
         self._codec: Optional[ReedSolomon] = (
             redundancy.codec() if isinstance(redundancy, ErasureCoded) else None
         )
+        # oid -> PG.  A PG is a pure function of (pool_id, oid, pg_num),
+        # none of which change after the pool is created (elasticity moves
+        # the CRUSH epoch, not pg_num), so entries never need invalidating.
+        self._pg_memo: Dict[str, int] = {}
 
     @property
     def is_ec(self) -> bool:
@@ -103,8 +107,12 @@ class Pool:
         return self._codec
 
     def pg_of(self, oid: str) -> int:
-        """Placement group for an object name."""
-        return stable_hash64("obj", self.pool_id, oid) % self.pg_num
+        """Placement group for an object name (hashed once per oid)."""
+        pg = self._pg_memo.get(oid)
+        if pg is None:
+            pg = stable_hash64("obj", self.pool_id, oid) % self.pg_num
+            self._pg_memo[oid] = pg
+        return pg
 
     def acting_set(self, pg: int) -> List[int]:
         """OSDs (primary first) for ``pg`` under the current map."""

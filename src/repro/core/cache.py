@@ -63,11 +63,20 @@ class HitSet:
 
     def hit_count(self, oid: str) -> int:
         """Number of recent periods in which ``oid`` was accessed."""
-        now = self.sim.now
-        horizon = now - self.period * self.count
-        return sum(
-            1 for start, bf in self._ring if start >= horizon and oid in bf
-        )
+        ring = self._ring
+        if not ring:
+            return 0
+        horizon = self.sim.now - self.period * self.count
+        newest = ring[-1][1]
+        probes = newest.probes(oid)
+        hits = 0
+        for start, bf in ring:
+            # One probe derivation serves the whole ring: every filter is
+            # built from the same capacity and error rate.
+            assert (bf.num_bits, bf.num_hashes) == (newest.num_bits, newest.num_hashes)
+            if start >= horizon and bf.has_probes(probes):
+                hits += 1
+        return hits
 
     def memory_bytes(self) -> int:
         """In-memory footprint of the bloom filter ring."""
@@ -86,6 +95,9 @@ class CacheManager:
         # (oid, chunk_index) -> cached bytes; insertion order doubles as
         # the LRU/FIFO queue order.
         self._cached: "OrderedDict[Tuple[str, int], int]" = OrderedDict()
+        # oid -> its keys in ``_cached``, in the same relative order as
+        # the queue, so an access touches only that object's chunks.
+        self._by_oid: Dict[str, Dict[Tuple[str, int], None]] = {}
         #: (oid, chunk_index) -> access count, for the LFU policy.
         self._freq: Dict[Tuple[str, int], int] = {}
         self.cached_bytes = 0
@@ -98,10 +110,13 @@ class CacheManager:
     def record_access(self, oid: str) -> None:
         """Note a foreground access (read or write) to ``oid``."""
         self.hitset.record(oid)
-        touched = [k for k in self._cached if k[0] == oid]
-        for k in touched:
+        keys = self._by_oid.get(oid)
+        if not keys:
+            return
+        lru = self.config.cache_policy == "lru"
+        for k in keys:
             self._freq[k] = self._freq.get(k, 0) + 1
-            if self.config.cache_policy == "lru":
+            if lru:
                 self._cached.move_to_end(k)
 
     def is_hot(self, oid: str) -> bool:
@@ -116,14 +131,23 @@ class CacheManager:
         old = self._cached.pop(key, 0)
         self.cached_bytes -= old
         self._cached[key] = nbytes
+        keys = self._by_oid.setdefault(oid, {})
+        keys.pop(key, None)
+        keys[key] = None
         self.cached_bytes += nbytes
         self._freq[key] = self._freq.get(key, 0) + 1
         self.promotions += old == 0
 
     def note_evicted(self, oid: str, index: int) -> None:
         """A chunk was punched out of its metadata object."""
-        old = self._cached.pop((oid, index), 0)
-        self._freq.pop((oid, index), None)
+        key = (oid, index)
+        old = self._cached.pop(key, 0)
+        self._freq.pop(key, None)
+        keys = self._by_oid.get(oid)
+        if keys is not None:
+            keys.pop(key, None)
+            if not keys:
+                del self._by_oid[oid]
         if old:
             self.cached_bytes -= old
             self.demotions += 1

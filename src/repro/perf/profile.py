@@ -1,9 +1,12 @@
 """cProfile → JSON artifact for ``repro perf --profile``.
 
 The perf harness answers "how fast"; this answers "where the time
-went".  The artifact is a machine-readable top-N by cumulative time so
-CI can archive it next to ``BENCH_perf.json`` and a regression hunt
-starts from the uploaded profile instead of a local re-run.  The
+went".  The artifact is a machine-readable top-N by cumulative time
+and a top-N by self time (``tottime``), so CI can archive it next to
+``BENCH_perf.json`` and a regression hunt starts from the uploaded
+profile instead of a local re-run.  The self-time list is there for
+leaf hotspots, which rank far down the cumulative list under every
+wrapper frame.  The
 profiled pass is separate from (and after) the gated measurement run —
 cProfile's per-call overhead is far from uniform, so wrapping the
 measured run would skew both the wall clocks and the machine-score
@@ -22,9 +25,11 @@ __all__ = ["profile_to_dict", "write_profile"]
 def profile_to_dict(profiler, top: int = 40) -> dict:
     """Summarise a (stopped) ``cProfile.Profile`` as a JSON-ready dict.
 
-    Keeps the ``top`` functions by cumulative time, each with its call
-    counts and per-function totals — the same columns
+    ``top`` keeps the ``top`` functions by cumulative time, each with
+    its call counts and per-function totals — the same columns
     ``pstats.sort_stats("cumulative")`` prints, minus the callers.
+    ``top_self`` keeps the same rows for the ``top`` functions by self
+    time (``pstats.sort_stats("tottime")``).
     """
     stats = pstats.Stats(profiler)
     total_calls = stats.total_calls  # type: ignore[attr-defined]
@@ -43,6 +48,7 @@ def profile_to_dict(profiler, top: int = 40) -> dict:
                 "cumtime": ct,
             }
         )
+    by_self = sorted(rows, key=lambda r: r["tottime"], reverse=True)
     rows.sort(key=lambda r: r["cumtime"], reverse=True)
     return {
         "schema": 1,
@@ -50,6 +56,7 @@ def profile_to_dict(profiler, top: int = 40) -> dict:
         "total_calls": total_calls,
         "total_tottime": total_tt,
         "top": rows[:top],
+        "top_self": by_self[:top],
     }
 
 

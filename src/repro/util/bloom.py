@@ -9,7 +9,7 @@ from the target capacity and false-positive rate.
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from typing import List, Sequence
 
 from ..sim.rng import derive_seed
 
@@ -31,22 +31,30 @@ class BloomFilter:
         self._bits = bytearray((self.num_bits + 7) // 8)
         self.count = 0
 
-    def _probes(self, item: str) -> Iterator[int]:
+    def probes(self, item: str) -> List[int]:
+        """The ``num_hashes`` bit positions of ``item`` in this filter.
+
+        Filters with equal ``num_bits`` and ``num_hashes`` give equal
+        probes, so one derivation can be tested against all of them
+        with :meth:`has_probes`.
+        """
         h1 = derive_seed(0, item)
         h2 = derive_seed(1, item) | 1
-        for i in range(self.num_hashes):
-            yield (h1 + i * h2) % self.num_bits
+        return [(h1 + i * h2) % self.num_bits for i in range(self.num_hashes)]
 
     def add(self, item: str) -> None:
         """Insert ``item``."""
-        for bit in self._probes(item):
+        for bit in self.probes(item):
             self._bits[bit >> 3] |= 1 << (bit & 7)
         self.count += 1
 
+    def has_probes(self, probes: Sequence[int]) -> bool:
+        """Whether every bit in ``probes`` (from :meth:`probes`) is set."""
+        bits = self._bits
+        return all(bits[bit >> 3] & (1 << (bit & 7)) for bit in probes)
+
     def __contains__(self, item: str) -> bool:
-        return all(
-            self._bits[bit >> 3] & (1 << (bit & 7)) for bit in self._probes(item)
-        )
+        return self.has_probes(self.probes(item))
 
     def memory_bytes(self) -> int:
         """RAM footprint of the bit array."""

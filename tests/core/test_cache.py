@@ -57,6 +57,30 @@ def test_hitset_ring_bounded():
     assert len(hs._ring) <= 3
 
 
+def test_hit_count_derives_probes_once_per_query(monkeypatch):
+    from repro.util import BloomFilter
+
+    sim = Simulator()
+    hs = HitSet(sim, period=1.0, count=8)
+    for i in range(8):
+        hs.record("obj1" if i % 2 else "obj2")
+        advance(sim, 1.0)
+    hs.record("obj3")
+    assert len(hs._ring) == 8
+    calls = []
+    real = BloomFilter.probes
+    monkeypatch.setattr(
+        BloomFilter, "probes", lambda self, item: calls.append(item) or real(self, item)
+    )
+    horizon = sim.now - hs.period * hs.count
+    for oid in ("obj1", "obj2", "obj3", "cold"):
+        expected = sum(1 for start, bf in hs._ring if start >= horizon and oid in bf)
+        calls.clear()
+        assert hs.hit_count(oid) == expected
+        assert calls == [oid]
+    assert hs.hit_count("obj2") == 3  # its t=0 period fell off the ring
+
+
 def test_hitset_invalid_params():
     sim = Simulator()
     with pytest.raises(ValueError):

@@ -1,6 +1,10 @@
 """Tests for the pluggable cache eviction policies (lru/lfu/fifo)."""
 
+from collections import OrderedDict
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import RadosCluster
 from repro.core import DedupConfig, DedupedStorage
@@ -91,3 +95,122 @@ def test_cache_hit_counters():
     storage.drain()  # cold -> evicted
     storage.read_sync("obj1")  # now redirected
     assert storage.tier.cache_misses == 1
+
+
+# -- per-object index vs the full-queue scan it replaced ----------------------
+
+
+class FullScanModel:
+    """Reference model: the cache manager before the per-oid index.
+
+    ``record_access`` scans the whole queue for the object's keys.
+    """
+
+    def __init__(self, policy, capacity):
+        self.policy = policy
+        self.capacity = capacity
+        self.cached = OrderedDict()
+        self.freq = {}
+        self.cached_bytes = 0
+        self.promotions = 0
+        self.demotions = 0
+
+    def record_access(self, oid):
+        for k in [k for k in self.cached if k[0] == oid]:
+            self.freq[k] = self.freq.get(k, 0) + 1
+            if self.policy == "lru":
+                self.cached.move_to_end(k)
+
+    def note_cached(self, oid, index, nbytes):
+        key = (oid, index)
+        old = self.cached.pop(key, 0)
+        self.cached_bytes += nbytes - old
+        self.cached[key] = nbytes
+        self.freq[key] = self.freq.get(key, 0) + 1
+        self.promotions += old == 0
+
+    def note_evicted(self, oid, index):
+        old = self.cached.pop((oid, index), 0)
+        self.freq.pop((oid, index), None)
+        if old:
+            self.cached_bytes -= old
+            self.demotions += 1
+
+    def victims(self):
+        if self.policy == "lfu":
+            candidates = sorted(
+                self.cached.items(), key=lambda kv: self.freq.get(kv[0], 0)
+            )
+        else:
+            candidates = list(self.cached.items())
+        out, excess = [], self.cached_bytes - self.capacity
+        for key, nbytes in candidates:
+            if excess <= 0:
+                break
+            out.append(key)
+            excess -= nbytes
+        return out
+
+
+_OIDS = st.sampled_from(["a", "b", "c"])
+_INDEX = st.integers(0, 3)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("cache"), _OIDS, _INDEX, st.integers(0, 400)),
+        st.tuples(st.just("evict"), _OIDS, _INDEX),
+        st.tuples(st.just("access"), _OIDS),
+    ),
+    max_size=60,
+)
+
+
+@pytest.mark.parametrize("policy", ["lru", "lfu", "fifo"])
+@settings(max_examples=150, deadline=None)
+@given(ops=_OPS)
+def test_per_oid_index_matches_full_scan(policy, ops):
+    mgr = manager(policy, capacity=500)
+    ref = FullScanModel(policy, capacity=500)
+    for op, *args in ops:
+        name = {"cache": "note_cached", "evict": "note_evicted"}.get(
+            op, "record_access"
+        )
+        getattr(mgr, name)(*args)
+        getattr(ref, name)(*args)
+        assert mgr.victims() == ref.victims()
+        assert list(mgr._cached.items()) == list(ref.cached.items())
+        assert mgr._freq == ref.freq
+        assert (mgr.cached_bytes, mgr.promotions, mgr.demotions) == (
+            ref.cached_bytes,
+            ref.promotions,
+            ref.demotions,
+        )
+    # The index holds exactly the queue's keys, per oid, in queue order.
+    for oid, keys in mgr._by_oid.items():
+        assert list(keys) == [k for k in mgr._cached if k[0] == oid] != []
+    assert sum(len(keys) for keys in mgr._by_oid.values()) == len(mgr._cached)
+
+
+class _CountingQueue(OrderedDict):
+    """An LRU queue that counts full iterations over itself."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("policy", ["lru", "lfu", "fifo"])
+def test_record_access_never_iterates_the_global_queue(policy):
+    mgr = manager(policy, capacity=None)
+    for i in range(200):
+        mgr.note_cached(f"obj{i}", 0, 64)
+        mgr.note_cached(f"obj{i}", 1, 64)
+    mgr._cached = _CountingQueue(mgr._cached)
+    mgr._cached.iterations = 0
+    for i in range(0, 400, 3):
+        mgr.record_access(f"obj{i}")  # half of these oids are not cached
+    assert mgr._cached.iterations == 0
+    assert mgr._freq[("obj3", 1)] == 2
+    if policy == "lru":
+        assert list(mgr._cached)[-2:] == [("obj198", 0), ("obj198", 1)]

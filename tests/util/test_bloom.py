@@ -37,3 +37,29 @@ def test_invalid_params():
         BloomFilter(capacity=0)
     with pytest.raises(ValueError):
         BloomFilter(capacity=10, error_rate=1.5)
+
+
+def test_bits_follow_double_hashing_formula():
+    """The bit layout is pinned: probe i of x is h1 + i*h2 mod m."""
+    from repro.sim.rng import derive_seed
+
+    bf = BloomFilter(capacity=500, error_rate=0.01)
+    expected = bytearray(len(bf._bits))
+    for i in range(300):
+        item = f"chunk-{i}"
+        bf.add(item)
+        h1, h2 = derive_seed(0, item), derive_seed(1, item) | 1
+        for j in range(bf.num_hashes):
+            bit = (h1 + j * h2) % bf.num_bits
+            expected[bit >> 3] |= 1 << (bit & 7)
+    assert bf._bits == expected
+
+
+def test_has_probes_agrees_with_contains():
+    bf = BloomFilter(capacity=200)
+    twin = BloomFilter(capacity=200)
+    for i in range(150):
+        bf.add(f"in-{i}")
+    for item in [f"in-{i}" for i in range(150)] + [f"out-{i}" for i in range(500)]:
+        probes = twin.probes(item)  # equal geometry -> equal probes
+        assert bf.has_probes(probes) == (item in bf)
